@@ -18,6 +18,12 @@
 //!   starving. On each link, backlogged queue `q` receives a `w_q`
 //!   fraction of capacity, shared max-min fairly among its flows
 //!   (work-conserving: idle queues' shares are redistributed).
+//!   Weights are normalized per link: where only one queue is
+//!   backlogged, its flows share the link with weight `1.0` each, so a
+//!   flow↔link component whose flows all sit in one queue gets rates
+//!   that do not depend on the weights at all (bit-for-bit) and equal
+//!   the strict-priority single-class fill. The runtime relies on this
+//!   to re-fill only multi-queue components when the weights change.
 //!
 //! The allocator is a progressive water-filling over per-(flow, link)
 //! weights with a lazy min-heap of bottleneck candidates. One pass over
@@ -90,8 +96,11 @@ pub enum Discipline {
         num_queues: usize,
     },
     /// Weighted round robin: queue `q` of every link is served in
-    /// proportion to `weights[q]`. Weights must be positive; they are
-    /// normalized internally.
+    /// proportion to `weights[q]`. Weights must be positive. They are
+    /// normalized per link: on a link with a single backlogged queue
+    /// every flow gets weight `1.0` and the weights drop out, so a
+    /// component whose links each carry one queue is allocated exactly
+    /// as under [`Discipline::StrictPriority`].
     WeightedRoundRobin {
         /// Per-queue service weights (index 0 = highest priority queue).
         weights: Vec<f64>,
@@ -196,6 +205,9 @@ pub struct Allocator {
     /// O(slots actually backlogged), not O(queues × touched links).
     counts: Vec<f64>,
     used_slots: Vec<usize>,
+    /// WRR backlogged-queue count per dense link (scratch, re-zeroed
+    /// each call).
+    link_queues: Vec<u32>,
     idx: Vec<u32>,
     heap: BinaryHeap<Candidate>,
     /// A demand is frozen in the current pass iff its stamp equals the
@@ -222,6 +234,7 @@ impl Allocator {
             queues: Vec::new(),
             counts: Vec::new(),
             used_slots: Vec::new(),
+            link_queues: Vec::new(),
             idx: Vec::new(),
             heap: BinaryHeap::new(),
             frozen_epoch: Vec::new(),
@@ -327,6 +340,7 @@ impl Allocator {
             queues,
             counts,
             used_slots,
+            link_queues,
             idx,
             heap,
             frozen_epoch,
@@ -368,11 +382,15 @@ impl Allocator {
                 // Per-link, per-queue flow counts to derive per-(flow,
                 // link) weights w_q / n_{q,l}: each backlogged queue
                 // receives its w_q share of the link, split max-min
-                // among its flows.
+                // among its flows. `link_queues` counts the backlogged
+                // queues of each link for the per-link normalization
+                // below.
                 let slots = weights.len() * touched;
                 if counts.len() < slots {
                     counts.resize(slots, 0.0);
                 }
+                link_queues.clear();
+                link_queues.resize(touched, 0);
                 used_slots.clear();
                 for i in 0..n {
                     let (s, len) = spans[i];
@@ -381,17 +399,29 @@ impl Allocator {
                         let slot = q * touched + dli as usize;
                         if counts[slot] == 0.0 {
                             used_slots.push(slot);
+                            link_queues[dli as usize] += 1;
                         }
                         counts[slot] += 1.0;
                     }
                 }
-                // Turn the counts into the per-(queue, link) weights
-                // w_q / n_{q,l} in place: the waterfill evaluates weights
-                // many times per link, so dividing once here replaces a
-                // division per evaluation with a load (same operands,
-                // bit-identical result).
+                // Turn the counts into the per-(queue, link) weights in
+                // place: the waterfill evaluates weights many times per
+                // link, so dividing once here replaces a division per
+                // evaluation with a load (same operands, bit-identical
+                // result). Per-link normalization: a link whose flows
+                // all sit in one queue gives each of them weight 1.0
+                // instead of w_q / n_{q,l}. Scaling every weight on one
+                // link by a constant scales its fair share by the
+                // inverse, so the allocation is mathematically the same,
+                // and a component whose links each carry one queue gets
+                // rates bit-identical to a strict-priority single-class
+                // fill, whatever the weights.
                 for &slot in used_slots.iter() {
-                    counts[slot] = weights[slot / touched] / counts[slot];
+                    counts[slot] = if link_queues[slot % touched] == 1 {
+                        1.0
+                    } else {
+                        weights[slot / touched] / counts[slot]
+                    };
                 }
                 idx.clear();
                 idx.extend((0..n).filter(|&i| spans[i].1 > 0).map(|i| i as u32));
@@ -585,6 +615,9 @@ fn link_share(resid: f64, sum_w: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{Fabric, FatTree};
+    use gurita_model::HostId;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn caps_all(c: f64) -> impl Fn(LinkId) -> f64 {
@@ -894,5 +927,223 @@ mod tests {
     fn empty_demand_set_is_fine() {
         let rates = allocate(&[], caps_all(1.0), &spq(4));
         assert!(rates.is_empty());
+    }
+
+    /// Textbook progressive filling: the independent oracle for
+    /// [`Allocator`]. No heap, no dense remap, no share cache, no
+    /// epochs: each round re-sums every link's weight over the unfrozen
+    /// flows, gives each unfrozen flow its smallest weighted fair share
+    /// `w(f, l) · resid(l) / Σw(l)` along its path, and freezes the flow
+    /// with the smallest one at that rate. SPQ fills the classes in
+    /// priority order over the residual capacity; WRR fills once with
+    /// the plain per-(flow, link) weights `w_q / n_{q,l}` — without the
+    /// allocator's per-link normalization, so agreement also checks that
+    /// the normalization leaves the allocation unchanged.
+    fn reference_allocate(
+        demands: &[Demand<'_>],
+        capacity: impl Fn(LinkId) -> f64,
+        discipline: &Discipline,
+    ) -> Vec<f64> {
+        let mut rates = vec![f64::INFINITY; demands.len()];
+        let mut resid: HashMap<LinkId, f64> = HashMap::new();
+        for d in demands {
+            for &l in d.path {
+                resid.entry(l).or_insert_with(|| capacity(l));
+            }
+        }
+        let routed = |i: &usize| !demands[*i].path.is_empty();
+        match discipline {
+            Discipline::StrictPriority { num_queues } => {
+                for q in 0..*num_queues {
+                    let class = (0..demands.len())
+                        .filter(|i| routed(i) && demands[*i].queue == q)
+                        .collect();
+                    reference_fill(demands, class, |_, _| 1.0, &mut resid, &mut rates);
+                }
+            }
+            Discipline::WeightedRoundRobin { weights } => {
+                let mut count: HashMap<(usize, LinkId), f64> = HashMap::new();
+                for d in demands {
+                    for &l in d.path {
+                        *count.entry((d.queue, l)).or_default() += 1.0;
+                    }
+                }
+                let weight = |i: usize, l: LinkId| {
+                    let q = demands[i].queue;
+                    weights[q] / count[&(q, l)]
+                };
+                let all = (0..demands.len()).filter(routed).collect();
+                reference_fill(demands, all, weight, &mut resid, &mut rates);
+            }
+        }
+        rates
+    }
+
+    fn reference_fill(
+        demands: &[Demand<'_>],
+        mut unfrozen: Vec<usize>,
+        weight: impl Fn(usize, LinkId) -> f64,
+        resid: &mut HashMap<LinkId, f64>,
+        rates: &mut [f64],
+    ) {
+        while !unfrozen.is_empty() {
+            let mut sum_w: HashMap<LinkId, f64> = HashMap::new();
+            for &i in &unfrozen {
+                for &l in demands[i].path {
+                    *sum_w.entry(l).or_default() += weight(i, l);
+                }
+            }
+            let share = |i: usize| {
+                demands[i]
+                    .path
+                    .iter()
+                    .map(|&l| weight(i, l) * resid[&l] / sum_w[&l])
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let (k, rate) = unfrozen
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| (k, share(i)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("non-empty");
+            let i = unfrozen.swap_remove(k);
+            rates[i] = rate;
+            for l in demands[i].path {
+                let r = resid.get_mut(l).expect("seeded");
+                *r = (*r - rate).max(0.0);
+            }
+        }
+    }
+
+    /// Per-link capacity of the property-test fabric (small, so the
+    /// 1e-9 agreement bound is absolute-meaningful).
+    const CAP: f64 = 10.0;
+
+    /// Routes drawn `(src, dst, salt)` triples over a k=4 fat-tree:
+    /// ECMP paths of length 0 (same host), 2, 4 or 6.
+    fn fat_tree_paths(fabric: &FatTree, draws: &[(usize, usize, u64, usize)]) -> Vec<Vec<LinkId>> {
+        draws
+            .iter()
+            .map(|&(src, dst, salt, _)| {
+                fabric
+                    .path(HostId(src), HostId(dst), salt)
+                    .expect("hosts in range")
+            })
+            .collect()
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The allocator agrees with the reference to 1e-9 on random
+        /// fat-tree subgraphs, queue mixes, weights and degraded
+        /// capacities, under both disciplines. Also checks the
+        /// invariants the reference does not share code with: no link
+        /// is over capacity; under SPQ every routed flow has a saturated
+        /// link, and the higher classes ignore the lower ones.
+        #[test]
+        fn allocator_matches_reference_progressive_filling(
+            draws in prop::collection::vec((0usize..16, 0usize..16, 0u64..4, 0usize..4), 1..=24),
+            weights in prop::collection::vec(0.1f64..10.0, 4..=4),
+            degraded in prop::collection::vec((0usize..96, 0.05f64..1.0), 0..=8),
+            num_queues in 1usize..=4,
+        ) {
+            let fabric = FatTree::with_capacity(4, CAP).expect("valid pod count");
+            let paths = fat_tree_paths(&fabric, &draws);
+            let demands: Vec<Demand<'_>> = paths
+                .iter()
+                .zip(&draws)
+                .map(|(p, d)| Demand { path: p, queue: d.3 % num_queues })
+                .collect();
+            let scale: HashMap<usize, f64> = degraded
+                .iter()
+                .map(|&(l, f)| (l % fabric.num_links(), f))
+                .collect();
+            let cap = |l: LinkId| fabric.link_capacity(l) * scale.get(&l.index()).copied().unwrap_or(1.0);
+            let wrr = Discipline::WeightedRoundRobin { weights: weights[..num_queues].to_vec() };
+            for disc in [spq(num_queues), wrr] {
+                let got = allocate(&demands, cap, &disc);
+                let want = reference_allocate(&demands, cap, &disc);
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(close(*a, *b), "{disc:?} flow {i}: allocator {a} vs reference {b}");
+                }
+                let mut usage: HashMap<LinkId, f64> = HashMap::new();
+                for (d, r) in demands.iter().zip(&got) {
+                    for &l in d.path {
+                        *usage.entry(l).or_default() += r;
+                    }
+                }
+                for (&l, &u) in &usage {
+                    prop_assert!(u <= cap(l) + 1e-9, "{disc:?} link {l:?} over capacity: {u}");
+                }
+                if let Discipline::StrictPriority { .. } = disc {
+                    for (i, d) in demands.iter().enumerate() {
+                        let tight = d.path.is_empty()
+                            || d.path.iter().any(|&l| usage[&l] >= cap(l) - 1e-9);
+                        prop_assert!(tight, "flow {i} (rate {}) has no saturated link", got[i]);
+                    }
+                    for q in 0..num_queues {
+                        let upper: Vec<Demand<'_>> =
+                            demands.iter().filter(|d| d.queue <= q).cloned().collect();
+                        let alone = allocate(&upper, cap, &disc);
+                        let with_lower = got.iter().zip(&demands).filter(|(_, d)| d.queue <= q);
+                        for ((a, _), b) in with_lower.zip(&alone) {
+                            prop_assert!(close(*a, *b), "class <= {q} moved by lower classes: {a} vs {b}");
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Per-link normalization: a component whose flows all sit in
+        /// one queue gets the same rates, bit for bit, whatever the WRR
+        /// weights, and they equal the strict-priority single-class
+        /// fill.
+        #[test]
+        fn single_queue_wrr_rates_are_weight_invariant(
+            draws in prop::collection::vec((0usize..16, 0usize..16, 0u64..4, 0usize..4), 1..=24),
+            queue in 0usize..4,
+            weight_sets in prop::collection::vec(prop::collection::vec(0.01f64..100.0, 4..=4), 3..=3),
+        ) {
+            let fabric = FatTree::with_capacity(4, CAP).expect("valid pod count");
+            let paths = fat_tree_paths(&fabric, &draws);
+            let demands: Vec<Demand<'_>> = paths.iter().map(|p| Demand { path: p, queue }).collect();
+            let cap = |l: LinkId| fabric.link_capacity(l);
+            let strict = allocate(&demands, cap, &spq(4));
+            for weights in weight_sets {
+                let wrr = allocate(&demands, cap, &Discipline::WeightedRoundRobin { weights });
+                for (i, (a, b)) in wrr.iter().zip(&strict).enumerate() {
+                    prop_assert!(a.to_bits() == b.to_bits(), "flow {i}: WRR {a} vs SPQ {b}");
+                }
+            }
+        }
+
+        /// On one shared link every backlogged queue gets capacity in
+        /// proportion to its weight, split evenly among its flows.
+        #[test]
+        fn wrr_single_link_shares_are_proportional(
+            queues in prop::collection::vec(0usize..4, 1..=12),
+            weights in prop::collection::vec(0.1f64..10.0, 4..=4),
+        ) {
+            let link = [LinkId(0)];
+            let demands: Vec<Demand<'_>> =
+                queues.iter().map(|&queue| Demand { path: &link, queue }).collect();
+            let rates = allocate(&demands, caps_all(CAP), &Discipline::WeightedRoundRobin {
+                weights: weights.clone(),
+            });
+            let mut n = [0usize; 4];
+            for &q in &queues {
+                n[q] += 1;
+            }
+            let backlogged: f64 = (0..4).filter(|&q| n[q] > 0).map(|q| weights[q]).sum();
+            for (&q, &r) in queues.iter().zip(&rates) {
+                let want = CAP * weights[q] / backlogged / n[q] as f64;
+                prop_assert!(close(r, want), "queue {q}: rate {r} vs {want}");
+            }
+        }
     }
 }

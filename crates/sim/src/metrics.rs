@@ -238,11 +238,11 @@ impl MetricsSink {
             ),
             alloc_full_passes: g(
                 "gurita_alloc_full_passes",
-                "Cumulative full-pass rate recomputations.",
+                "Cumulative full-pass rate recomputations (first pass, SPQ/WRR switch, queue-count change, or forced).",
             ),
             alloc_incremental_passes: g(
                 "gurita_alloc_incremental_passes",
-                "Cumulative incremental (dirty-component) recomputations.",
+                "Cumulative incremental recomputations: dirty-component and WRR-reweighted passes.",
             ),
             alloc_parallel_epochs: g(
                 "gurita_alloc_parallel_epochs",

@@ -314,14 +314,12 @@ impl FlowHot {
     }
 
     /// Removes position `pos` in lock-step with a
-    /// `flows.swap_remove(pos)`, returning the removed hot fields.
-    fn swap_remove(&mut self, pos: usize) -> (f64, f64, PathRef, CoflowId) {
-        (
-            self.rate.swap_remove(pos),
-            self.remaining.swap_remove(pos),
-            self.path.swap_remove(pos),
-            self.coflow.swap_remove(pos),
-        )
+    /// `flows.swap_remove(pos)`, returning the removed flow's path.
+    fn swap_remove(&mut self, pos: usize) -> PathRef {
+        self.rate.swap_remove(pos);
+        self.remaining.swap_remove(pos);
+        self.coflow.swap_remove(pos);
+        self.path.swap_remove(pos)
     }
 }
 
@@ -364,15 +362,12 @@ impl Ord for FinishCand {
 
 /// Which rates the next recomputation must refresh. Events accumulate
 /// seed links (the links they touched); the recompute pass expands them
-/// to the affected flow↔link component(s). Discipline changes force a
-/// full pass instead.
+/// to the affected flow↔link component(s). Discipline changes widen the
+/// pass instead (see [`Engine::recompute_rates`]).
 #[derive(Debug, Default)]
 struct DirtyRates {
     /// Anything to do at all?
     any: bool,
-    /// Recompute every flow (discipline/policy change or explicit
-    /// request); `links` is irrelevant when set.
-    full: bool,
     /// Seed link indices touched since the last recomputation
     /// (unsorted, may contain duplicates — the BFS dedups).
     links: Vec<usize>,
@@ -381,16 +376,12 @@ struct DirtyRates {
 impl DirtyRates {
     fn mark_path(&mut self, path: &[LinkId]) {
         self.any = true;
-        if !self.full {
-            self.links.extend(path.iter().map(|l| l.index()));
-        }
+        self.links.extend(path.iter().map(|l| l.index()));
     }
 
     fn mark_link(&mut self, l: LinkId) {
         self.any = true;
-        if !self.full {
-            self.links.push(l.index());
-        }
+        self.links.push(l.index());
     }
 }
 
@@ -1005,8 +996,10 @@ pub struct Engine<'a, F: Fabric> {
     // ---- hot-path scratch (reused across events; see DESIGN.md) ----
     /// Dense-array water-filling allocator, sized to the fabric.
     allocator: Allocator,
-    /// Discipline used by the previous recomputation; a change forces a
-    /// full recompute (relative queue weights shift globally).
+    /// Discipline used by the previous recomputation. A change of WRR
+    /// weights alone makes a reweighted pass (only multi-queue or dirty
+    /// components re-fill); any other change makes a full pass (see
+    /// [`Engine::recompute_rates`]).
     last_discipline: Option<Discipline>,
     /// link index → flows whose path crosses it. Entries are tombstoned
     /// lazily: a listed flow may have completed, parked, or rerouted
@@ -1043,9 +1036,9 @@ pub struct Engine<'a, F: Fabric> {
     full_gen: u64,
     /// Cached full-pass partition members (see
     /// [`Engine::collect_full_components`]): flagship Gurita shifts WRR
-    /// weights with queue loads, so back-to-back discipline-change full
-    /// passes over an unchanged topology are the common case and reuse
-    /// this instead of re-running the union-find sweeps.
+    /// weights with queue loads, so back-to-back reweighted passes over
+    /// an unchanged topology are the common case and filter this
+    /// instead of re-running the union-find sweeps.
     full_comp: Vec<usize>,
     /// Cached full-pass partition bounds (pairs with `full_comp`).
     full_bounds: Vec<usize>,
@@ -1580,15 +1573,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     let Some(pos) = self.flow_pos.remove(rec.id) else {
                         continue;
                     };
-                    self.flows.swap_remove(pos);
-                    let (_, _, path, _) = self.hot.swap_remove(pos);
-                    self.topo_gen += 1;
-                    if let Some(moved) = self.flows.get(pos) {
-                        self.flow_pos.insert(moved.id, pos);
-                    }
-                    // Freed capacity redistributes; stale finish-heap
-                    // and link-index entries tombstone via `flow_pos`.
-                    self.dirty.mark_path(self.arena.get(path));
+                    // Stale finish-heap and link-index entries
+                    // tombstone via `flow_pos`.
+                    self.remove_flow(pos);
                 }
             }
             self.jobs_state.remove(&id);
@@ -1942,9 +1929,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 dirty.any = true;
                 for l in arena.get(path) {
                     let li = l.index();
-                    if !dirty.full {
-                        dirty.links.push(li);
-                    }
+                    dirty.links.push(li);
                     link_flows[li].push(fid);
                 }
             }
@@ -2206,14 +2191,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
             let mut completed_coflows: Vec<CoflowId> = empty_coflows;
             for fid in completed_flow_ids {
                 let pos = self.flow_pos.remove(fid).expect("flow indexed");
-                let flow = self.flows.swap_remove(pos);
-                let (rate, _, path, coflow) = self.hot.swap_remove(pos);
-                self.topo_gen += 1;
-                if let Some(moved) = self.flows.get(pos) {
-                    self.flow_pos.insert(moved.id, pos);
-                }
-                // Freed capacity redistributes across the flow's links.
-                self.dirty.mark_path(self.arena.get(path));
+                let (size, rate, coflow) = (
+                    self.flows[pos].size,
+                    self.hot.rate[pos],
+                    self.hot.coflow[pos],
+                );
+                self.remove_flow(pos);
                 let cf = self.coflows.get_mut(&coflow).expect("flow's coflow active");
                 let rec = cf
                     .flows
@@ -2221,7 +2204,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     .find(|r| r.id == fid)
                     .expect("flow recorded in coflow");
                 rec.open = false;
-                rec.bytes_done = flow.size;
+                rec.bytes_done = size;
                 cf.open_flows -= 1;
                 // A completing flow leaves the flowing set; if it was the
                 // coflow's last source of bandwidth and siblings remain
@@ -2242,7 +2225,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                         t: self.now,
                         flow: fid.index(),
                         coflow: coflow.index(),
-                        bytes: flow.size,
+                        bytes: size,
                     });
                 }
             }
@@ -2642,6 +2625,28 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
+    /// Drops the flow at table position `pos` (already unmapped from
+    /// `flow_pos`) by moving the tail flow into its slot, and marks the
+    /// links whose rates can change. Freed capacity redistributes over
+    /// the dropped flow's path. The move re-orders the tail flow's
+    /// component — a component's demand sequence is its members in
+    /// table order — so that flow's path is marked too: otherwise the
+    /// next incremental pass would keep rates filled in the old order
+    /// while a full pass re-fills in the new one, and exact rate ties
+    /// could break the other way.
+    fn remove_flow(&mut self, pos: usize) {
+        self.flows.swap_remove(pos);
+        let path = self.hot.swap_remove(pos);
+        self.topo_gen += 1;
+        self.dirty.mark_path(self.arena.get(path));
+        if let Some(moved) = self.flows.get(pos) {
+            self.flow_pos.insert(moved.id, pos);
+            if !moved.parked {
+                self.dirty.mark_path(self.arena.get(self.hot.path[pos]));
+            }
+        }
+    }
+
     /// Adds `flows[pos]` to the link→flows index for every link on its
     /// path. With `dedup`, skips links that already list the flow (a
     /// rerouted path may share links with the stale entry's old path).
@@ -2720,15 +2725,17 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// linear sweeps over the flow table with an epoch-stamped
     /// union-find keyed by each flow's own path. Flagship Gurita runs
     /// make this the hot path — WRR starvation-mitigation weights shift
-    /// with queue loads, so most recomputations are discipline-change
-    /// full passes.
+    /// with queue loads, so most recomputations are reweighted passes,
+    /// which filter this partition
+    /// ([`Engine::collect_reweighted_components`]).
     ///
     /// The partition depends only on the topology (which unparked flows
     /// exist and which links their paths cross), never on disciplines,
     /// weights, priorities, or capacities — so it is cached under
-    /// [`Engine::topo_gen`] and a discipline-only full pass reuses it
-    /// outright. Debug builds re-derive and compare on every hit, so
-    /// the equivalence suites would catch a missed `topo_gen` bump.
+    /// [`Engine::topo_gen`] and reweighted or discipline-only full
+    /// passes reuse it outright. Debug builds re-derive and compare on
+    /// every hit, so the equivalence suites would catch a missed
+    /// `topo_gen` bump.
     fn collect_full_components(&mut self) {
         if self.full_gen == self.topo_gen {
             self.component.clear();
@@ -2838,6 +2845,53 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
+    /// Reweighted-pass collection (see [`Engine::recompute_rates`]): the
+    /// canonical full partition, filtered in place to the components
+    /// whose rates a WRR weight change or a pending event can move —
+    /// those whose flows sit in ≥2 queues, and those with a flow
+    /// crossing a dirty seed link. A single-queue component carries one
+    /// queue on every link, so per-link normalization gives it rates
+    /// independent of the weights; if no event touched it since its last
+    /// waterfill, its current rates are exactly what a full pass would
+    /// recompute. Kept components stay in canonical order, so the
+    /// waterfill calls are the ones a full pass would make for them.
+    fn collect_reweighted_components(&mut self) {
+        self.collect_full_components();
+        // Fresh epoch after the partition (a cache miss stamps
+        // `link_mark` too): stamp the seed links.
+        self.mark_epoch += 1;
+        let epoch = self.mark_epoch;
+        for &li in &self.dirty.links {
+            self.link_mark[li] = epoch;
+        }
+        self.dirty.links.clear();
+        let (mut kept, mut nb, mut start) = (0usize, 1usize, 0usize);
+        for c in 1..self.comp_bounds.len() {
+            let end = self.comp_bounds[c];
+            let members = &self.component[start..end];
+            let queue = self.flows[members[0]].queue;
+            let keep = members.iter().any(|&pos| {
+                self.flows[pos].queue != queue
+                    || self
+                        .arena
+                        .get(self.hot.path[pos])
+                        .iter()
+                        .any(|l| self.link_mark[l.index()] == epoch)
+            });
+            if keep {
+                // `kept <= start` and `nb <= c`: compaction never
+                // overwrites a span or bound not yet read.
+                self.component.copy_within(start..end, kept);
+                kept += end - start;
+                self.comp_bounds[nb] = kept;
+                nb += 1;
+            }
+            start = end;
+        }
+        self.component.truncate(kept);
+        self.comp_bounds.truncate(nb);
+    }
+
     /// Bumps the shared mark epoch and readies the BFS scratch
     /// (flow-mark table sized to the flow table, empty stack).
     fn begin_bfs_epoch(&mut self) -> u64 {
@@ -2863,10 +2917,27 @@ impl<'a, F: Fabric> Engine<'a, F> {
         self.finish_heap = BinaryHeap::from(buf);
     }
 
+    /// Recomputes rates for the flows the pending changes can affect.
+    /// Three pass kinds, all producing the same canonical per-component
+    /// waterfills (see [`Engine::collect_full_components`]):
+    ///
+    /// * **incremental** — the discipline is unchanged: the components
+    ///   reached from the dirty seed links ([`Engine::collect_component`]);
+    /// * **reweighted** — only the WRR weights changed (same queue
+    ///   count): per-link normalization makes single-queue components
+    ///   weight-invariant, so the cached full partition is filtered to
+    ///   the components that carry ≥2 queues or touch a dirty link
+    ///   ([`Engine::collect_reweighted_components`]). Counted as
+    ///   incremental in telemetry;
+    /// * **full** — the first pass, an SPQ↔WRR switch, a queue-count
+    ///   change, or [`SimConfig::force_full_recompute`]: every unparked
+    ///   flow.
+    ///
+    /// Every flow outside the chosen components keeps its rate and its
+    /// completion prediction, which are bit-identical to what a full
+    /// pass would recompute for it.
     fn recompute_rates(&mut self) {
-        let full_requested = self.dirty.full || self.config.force_full_recompute;
         self.dirty.any = false;
-        self.dirty.full = false;
         self.completion_generation += 1;
         if self.flows.is_empty() {
             self.dirty.links.clear();
@@ -2889,10 +2960,17 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 Discipline::WeightedRoundRobin { weights }
             }
         };
-        // A discipline change (e.g. WRR weights shifted) re-weights every
-        // flow everywhere: incremental seeds are insufficient, fall back
-        // to a full pass.
-        let full = full_requested || self.last_discipline.as_ref() != Some(&discipline);
+        let changed = self.last_discipline.as_ref() != Some(&discipline);
+        let reweighted = changed
+            && !self.config.force_full_recompute
+            && matches!(
+                (&self.last_discipline, &discipline),
+                (
+                    Some(Discipline::WeightedRoundRobin { weights: old }),
+                    Discipline::WeightedRoundRobin { weights: new },
+                ) if old.len() == new.len()
+            );
+        let full = self.config.force_full_recompute || (changed && !reweighted);
         if self.probe.on() {
             if full {
                 self.probe.full_passes += 1;
@@ -2925,19 +3003,27 @@ impl<'a, F: Fabric> Engine<'a, F> {
         // pool and enough seed links stream the (expensive, adjacency-
         // validating) BFS against the waterfill workers — the caller
         // discovers component i+1 while workers allocate component i.
-        // Full passes never stream: their union-find grouping is a few
-        // linear sweeps (no adjacency work to hide, and a later flow
-        // can merge two earlier groups, so no component is final until
-        // the union sweep ends); they batch-collect and then fan or
-        // loop like any other pass. Both orders produce the same
+        // Full and reweighted passes never stream: their partition is
+        // the union-find grouping (a few linear sweeps, or a cache hit;
+        // no adjacency work to hide, and a later flow can merge two
+        // earlier groups, so no component is final until the union
+        // sweep ends), and the streamed BFS would only reach the
+        // components of the dirty seeds, missing the multi-queue ones a
+        // weight change moves. They batch-collect and then fan or loop
+        // like any other pass. Both orders produce the same
         // `component` / `comp_bounds` / `rate_buf` triple bit-for-bit.
-        let streamed = !full && self.pool.is_some() && self.dirty.links.len() >= PAR_MIN_SEED_LINKS;
+        let streamed = !full
+            && !reweighted
+            && self.pool.is_some()
+            && self.dirty.links.len() >= PAR_MIN_SEED_LINKS;
         if streamed {
             self.recompute_streamed(&discipline);
         } else {
             if full {
                 self.dirty.links.clear();
                 self.collect_full_components();
+            } else if reweighted {
+                self.collect_reweighted_components();
             } else {
                 self.collect_component();
             }

@@ -337,10 +337,15 @@ pub struct EpochSample {
     pub pending_control_updates: usize,
     /// Links currently degraded or failed by the fault overlay.
     pub degraded_links: usize,
-    /// Cumulative full-pass rate recomputations (discipline changes or
-    /// `force_full_recompute`).
+    /// Cumulative full-pass rate recomputations: the first pass, a
+    /// switch between strict priority and WRR, a queue-count change, or
+    /// `force_full_recompute`.
     pub alloc_full_passes: u64,
-    /// Cumulative incremental (dirty-component) recomputations.
+    /// Cumulative incremental recomputations: dirty-component passes,
+    /// and reweighted passes (only the WRR weights changed, so only the
+    /// multi-queue and dirty components re-fill). Under flagship
+    /// Gurita, whose weights move at almost every decision, most passes
+    /// are reweighted ones.
     pub alloc_incremental_passes: u64,
     /// Cumulative flows re-rated across all recomputations — the
     /// incremental BFS component sizes, summed.
@@ -355,8 +360,8 @@ pub struct EpochSample {
     /// per non-empty priority queue under SPQ, one under WRR, per
     /// component), summed over its per-component calls.
     pub alloc_waterfill_passes: u64,
-    /// Cumulative `Allocator::allocate_into` calls: one per full pass,
-    /// one per dirty component of each incremental epoch. With
+    /// Cumulative `Allocator::allocate_into` calls: one per component
+    /// re-filled by each pass (every component on a full pass). With
     /// `alloc_incremental_passes` this yields the mean component count
     /// per epoch — the available intra-run parallelism (see
     /// [`SimConfig::threads`](crate::runtime::SimConfig::threads)).

@@ -1,9 +1,10 @@
 //! Property test: component-incremental rate recomputation must agree
 //! with the from-scratch full pass (`SimConfig::force_full_recompute`)
 //! on every completion time — under strict-priority and
-//! weighted-round-robin queue policies, and across fault-overlay
-//! capacity changes (brownouts, degradations, hard failures) injected
-//! mid-run.
+//! weighted-round-robin queue policies (fixed weights, and weights that
+//! change between recomputes, which make the engine's reweighted
+//! passes), and across fault-overlay capacity changes (brownouts,
+//! degradations, hard failures) injected mid-run.
 //!
 //! Since PR 9 the two modes share one canonical allocation shape — one
 //! waterfill call per connected flow↔link component, whether the pass
@@ -15,7 +16,10 @@
 //! gone. `check_equivalent` asserts exact equality accordingly; the
 //! relative form is kept for the error messages' readability.
 
-use gurita_model::{units::MB, CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
+use gurita_model::{
+    units::{GBPS_10, MB},
+    CoflowSpec, FlowSpec, HostId, JobDag, JobSpec,
+};
 use gurita_sim::faults::{FaultEvent, FaultSchedule};
 use gurita_sim::runtime::{SimConfig, Simulation};
 use gurita_sim::sched::{Assignment, FifoScheduler, Observation, Oracle, QueuePolicy, Scheduler};
@@ -52,6 +56,43 @@ impl Scheduler for WrrScheduler {
     fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
         QueuePolicy::Weighted(vec![8.0, 4.0, 2.0, 1.0])
     }
+}
+
+/// WRR scheduler whose weights move between `queue_policy` calls, the
+/// way Gurita's load-derived starvation weights do: every other call
+/// shifts them, so runs mix reweighted passes (weights changed) with
+/// plain incremental ones (weights unchanged).
+struct LiveWrrScheduler {
+    inner: WrrScheduler,
+    calls: usize,
+}
+
+impl Scheduler for LiveWrrScheduler {
+    fn name(&self) -> String {
+        "live-wrr-test".to_owned()
+    }
+
+    fn num_queues(&self) -> usize {
+        self.inner.num_queues()
+    }
+
+    fn assign(&mut self, obs: &Observation, oracle: &Oracle<'_>) -> Assignment {
+        self.inner.assign(obs, oracle)
+    }
+
+    fn queue_policy(&mut self, _obs: &Observation) -> QueuePolicy {
+        let k = (self.calls / 2 % 5) as f64;
+        self.calls += 1;
+        QueuePolicy::Weighted(vec![1.0 + k, 3.0 / (1.0 + k), 0.5 + 0.3 * k, 0.7])
+    }
+}
+
+/// Queue policy under test.
+#[derive(Clone, Copy)]
+enum Policy {
+    Fifo,
+    Wrr,
+    LiveWrr,
 }
 
 /// One drawn job: arrival plus a chain of single-flow stages.
@@ -117,8 +158,21 @@ fn build_faults(start: f64, factor: f64, host: usize) -> FaultSchedule {
     faults
 }
 
-fn run_one(jobs: &[JobSpec], faults: &FaultSchedule, wrr: bool, full: bool) -> RunResult {
-    let fabric = FatTree::new(PODS).expect("valid pod count");
+/// Link capacity of the default fabric; flows finish within
+/// milliseconds, so jobs rarely overlap.
+const FAST: f64 = GBPS_10;
+/// A slow fabric on which the drawn flows last 0.1–2 s, so jobs in
+/// different queues share links and the mid-run faults hit live flows.
+const SLOW: f64 = 2.0 * MB;
+
+fn run_one(
+    jobs: &[JobSpec],
+    faults: &FaultSchedule,
+    policy: Policy,
+    capacity: f64,
+    full: bool,
+) -> RunResult {
+    let fabric = FatTree::with_capacity(PODS, capacity).expect("valid pod count");
     assert_eq!(fabric.num_hosts(), HOSTS);
     let mut sim = Simulation::new(
         fabric,
@@ -127,10 +181,17 @@ fn run_one(jobs: &[JobSpec], faults: &FaultSchedule, wrr: bool, full: bool) -> R
             ..SimConfig::default()
         },
     );
-    if wrr {
-        sim.run_with_faults(jobs.to_vec(), &mut WrrScheduler { queues: 4 }, faults)
-    } else {
-        sim.run_with_faults(jobs.to_vec(), &mut FifoScheduler::new(4), faults)
+    match policy {
+        Policy::Fifo => sim.run_with_faults(jobs.to_vec(), &mut FifoScheduler::new(4), faults),
+        Policy::Wrr => sim.run_with_faults(jobs.to_vec(), &mut WrrScheduler { queues: 4 }, faults),
+        Policy::LiveWrr => sim.run_with_faults(
+            jobs.to_vec(),
+            &mut LiveWrrScheduler {
+                inner: WrrScheduler { queues: 4 },
+                calls: 0,
+            },
+            faults,
+        ),
     }
 }
 
@@ -206,8 +267,8 @@ proptest! {
     ) {
         let jobs = build_jobs(&draws);
         let faults = build_faults(start, factor, host);
-        let inc = run_one(&jobs, &faults, false, false);
-        let full = run_one(&jobs, &faults, false, true);
+        let inc = run_one(&jobs, &faults, Policy::Fifo, FAST, false);
+        let full = run_one(&jobs, &faults, Policy::Fifo, FAST, true);
         prop_assert!(
             check_equivalent(&inc, &full).is_ok(),
             "{}",
@@ -227,8 +288,29 @@ proptest! {
     ) {
         let jobs = build_jobs(&draws);
         let faults = build_faults(start, factor, host);
-        let inc = run_one(&jobs, &faults, true, false);
-        let full = run_one(&jobs, &faults, true, true);
+        let inc = run_one(&jobs, &faults, Policy::Wrr, FAST, false);
+        let full = run_one(&jobs, &faults, Policy::Wrr, FAST, true);
+        prop_assert!(
+            check_equivalent(&inc, &full).is_ok(),
+            "{}",
+            check_equivalent(&inc, &full).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn incremental_matches_full_under_live_wrr_weights(
+        draws in prop::collection::vec(
+            (0.0f64..1.5, prop::collection::vec((0..HOSTS, 0..HOSTS, 0.2f64..4.0), 1..=3)),
+            2..=6,
+        ),
+        start in 0.1f64..2.0,
+        factor in 0.2f64..0.9,
+        host in 0..HOSTS,
+    ) {
+        let jobs = build_jobs(&draws);
+        let faults = build_faults(start, factor, host);
+        let inc = run_one(&jobs, &faults, Policy::LiveWrr, SLOW, false);
+        let full = run_one(&jobs, &faults, Policy::LiveWrr, SLOW, true);
         prop_assert!(
             check_equivalent(&inc, &full).is_ok(),
             "{}",
@@ -245,8 +327,8 @@ proptest! {
     ) {
         let jobs = build_jobs(&draws);
         let faults = FaultSchedule::new();
-        let inc = run_one(&jobs, &faults, false, false);
-        let full = run_one(&jobs, &faults, false, true);
+        let inc = run_one(&jobs, &faults, Policy::Fifo, FAST, false);
+        let full = run_one(&jobs, &faults, Policy::Fifo, FAST, true);
         prop_assert!(
             check_equivalent(&inc, &full).is_ok(),
             "{}",

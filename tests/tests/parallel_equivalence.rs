@@ -107,8 +107,75 @@ fn run_once_cfg(
     }
 }
 
+/// One serial-or-pooled run of flagship (WRR) Gurita on the k=8 fabric
+/// with link stats off, so forced-full and incremental runs differ only
+/// in how each recompute chose its components.
+fn run_gurita(
+    jobs: &[JobSpec],
+    faults: &FaultSchedule,
+    threads: usize,
+    force_full: bool,
+) -> RunResult {
+    let mut sim = Simulation::new(
+        FatTree::new(8).unwrap(),
+        SimConfig {
+            threads,
+            force_full_recompute: force_full,
+            ..SimConfig::default()
+        },
+    );
+    let mut plane = SchedulerKind::Gurita.build_plane();
+    sim.try_run_control_with_faults(jobs.to_vec(), plane.as_mut(), faults)
+        .unwrap()
+}
+
+/// Regression: removing a flow moves the table's tail flow into the
+/// freed slot, which re-orders that flow's component. The move must
+/// dirty the component, or the incremental run keeps rates filled in
+/// the old order while a forced-full run re-fills it in the new one
+/// and breaks exact rate ties the other way (seed 34 diverged).
+#[test]
+fn moved_tail_flow_keeps_forced_full_equal_to_incremental() {
+    let jobs = workload(12, 34);
+    let faults = chaos_schedule();
+    let incremental = run_gurita(&jobs, &faults, 1, false);
+    let full = run_gurita(&jobs, &faults, 1, true);
+    assert!(
+        incremental == full,
+        "seed 34: incremental run diverged from forced-full"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Flagship Gurita changes its WRR weights at almost every decision,
+    /// so most of its recomputes are reweighted passes that re-fill only
+    /// the multi-queue and dirty components. Incremental (serial and
+    /// 4 threads) must stay bit-for-bit equal to forced-full, with and
+    /// without mid-run faults.
+    #[test]
+    fn gurita_reweighted_passes_match_forced_full_bitwise(
+        seed in 0u64..1_000,
+        jobs in 6usize..14,
+        with_faults in 0usize..2,
+    ) {
+        let jobs = workload(jobs, seed);
+        let faults = if with_faults == 1 {
+            chaos_schedule()
+        } else {
+            FaultSchedule::new()
+        };
+        let full = run_gurita(&jobs, &faults, 1, true);
+        for threads in [1usize, 4] {
+            let incremental = run_gurita(&jobs, &faults, threads, false);
+            prop_assert!(
+                incremental == full,
+                "threads={threads} incremental diverged from forced-full \
+                 (seed {seed}, faults {with_faults})"
+            );
+        }
+    }
 
     /// Serial (`threads = 1`) vs pooled (`threads ∈ {2, 4, 8}`) runs
     /// must produce bit-for-bit identical [`RunResult`]s across
