@@ -11,8 +11,7 @@
 //!   Facebook-style mix, fresh-allocation and reused-scratch variants,
 //!   under both SPQ and WRR;
 //! * **advance ns/flow** — the per-event flow-advance sweep over the
-//!   engine's SoA hot-state layout, with a pre-PR-9 AoS layout A/B
-//!   alongside (see [`advance_benches`]);
+//!   engine's SoA hot-state layout (see [`advance_benches`]);
 //! * **control plane ns/flow** — the decentralized hot path: merging
 //!   per-host reports back into a cluster observation
 //!   (`merge_reports`), plus the full event loop under `Gurita@local`
@@ -54,9 +53,8 @@ struct BenchReport {
     events_per_sec: f64,
     /// Water-filling cost per flow, nanoseconds, per variant.
     allocate_ns_per_flow: Vec<(String, f64)>,
-    /// Flow-advance sweep cost, nanoseconds per flow: the engine's SoA
-    /// hot-state layout (`soa`, the gated number) against the pre-PR-9
-    /// AoS layout (`aos`), plus their ratio (`aos_over_soa`). See
+    /// Flow-advance sweep cost, nanoseconds per flow, over the engine's
+    /// SoA hot-state layout (`soa`, the gated number). See
     /// [`advance_benches`].
     advance_ns_per_flow: Vec<(String, f64)>,
     /// Decentralized control-plane costs: `merge_reports` ns/flow over
@@ -88,11 +86,8 @@ struct LargeBench {
     events: u64,
     /// Measured-run wall-clock seconds.
     wall_sec: f64,
-    /// Simulated events per wall-clock second (calendar event queue).
+    /// Simulated events per wall-clock second.
     events_per_sec: f64,
-    /// Same run under `force_binary_heap_events` — the pre-calendar
-    /// queue, kept as an A/B reference (results are asserted identical).
-    events_per_sec_binary_heap: f64,
     /// Same run with the telemetry layer armed into a counting
     /// [`NullSink`] — the armed layer's intrinsic overhead (record
     /// construction + dispatch + epoch sampling). Results are asserted
@@ -148,22 +143,21 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs the 48-pod gate scenario: warm-up, a measured run on the
-/// calendar event queue, an A/B run on the binary heap, and an A/B run
-/// with the intra-run component pool armed — every variant's
-/// `RunResult` must be bit-for-bit identical.
+/// Runs the 48-pod gate scenario: warm-up, a measured serial run, and
+/// A/B runs with the intra-run component pool, telemetry and live
+/// metrics armed — every variant's `RunResult` must be bit-for-bit
+/// identical.
 fn large_bench() -> LargeBench {
     const JOBS: usize = 40;
     const SEED: u64 = 42;
     let scenario = Scenario::bursty(StructureKind::FbTao, JOBS, 48, SEED);
     let jobs = scenario.jobs();
-    let run = |force_heap: bool, threads: usize| {
+    let run = |threads: usize| {
         let fabric = FatTree::new(scenario.pods).expect("valid pods");
         let mut sim = Simulation::new(
             fabric,
             SimConfig {
                 tick_interval: scenario.tick_interval,
-                force_binary_heap_events: force_heap,
                 threads,
                 ..SimConfig::default()
             },
@@ -171,19 +165,14 @@ fn large_bench() -> LargeBench {
         let mut sched = SchedulerKind::Gurita.build();
         sim.run(jobs.clone(), sched.as_mut())
     };
-    let _ = run(false, 1);
-    let (result, tp) = timed_run(|| run(false, 1));
-    let (heap_result, heap_tp) = timed_run(|| run(true, 1));
-    assert!(
-        result == heap_result,
-        "calendar queue and binary heap must produce identical results"
-    );
+    let _ = run(1);
+    let (result, tp) = timed_run(|| run(1));
     // Parallel A/B: the same run fanning each epoch's disjoint dirty
     // components across one worker per core. The determinism contract
     // (`SimConfig::threads`) says the results are bit-for-bit those of
     // the serial run; assert it at gate scale on every capture.
     let threads_used = gurita_sim::pool::effective_threads(0);
-    let (par_result, par_tp) = timed_run(|| run(false, 0));
+    let (par_result, par_tp) = timed_run(|| run(0));
     assert!(
         result == par_result,
         "parallel recomputation must produce identical results"
@@ -245,7 +234,6 @@ fn large_bench() -> LargeBench {
         events: result.events,
         wall_sec: tp.wall_sec,
         events_per_sec: tp.events_per_sec,
-        events_per_sec_binary_heap: heap_tp.events_per_sec,
         events_per_sec_telemetry: traced_tp.events_per_sec,
         telemetry_records: sink.records,
         events_per_sec_metrics: metrics_tp.events_per_sec,
@@ -430,36 +418,14 @@ fn allocator_benches() -> Vec<(String, f64)> {
     out
 }
 
-/// A/B microbenchmark for the per-event flow-advance sweep (the same
-/// update `Engine::advance_span` applies): struct-of-arrays hot state —
-/// one dense `rate` array zipped against one dense `remaining` array —
-/// versus the pre-PR-9 array-of-structs layout, where the two hot f64s
-/// shared a ~96-byte `FlowState` with the cold identity/bookkeeping
-/// fields and every step strided past the payload. Identical arithmetic
-/// per element (guarded multiply-min-subtract), identical element
-/// count; only the memory layout differs, so the ratio isolates the
-/// SoA win the engine's serial sweep gets before any fan-out.
+/// Microbenchmark for the per-event flow-advance sweep (the same
+/// update `Engine::advance_span` applies) over struct-of-arrays hot
+/// state: one dense `rate` array zipped against one dense `remaining`
+/// array.
 fn advance_benches() -> Vec<(String, f64)> {
     const FLOWS: usize = 65_536;
     const ITERS: u32 = 2_000;
     const DT: f64 = 0.5;
-
-    /// The pre-PR-9 hot+cold flow record, field-for-field sized like
-    /// the old `FlowState` (ids/hosts as usize, `PathRef` as two u32s).
-    struct FlowAos {
-        rate: f64,
-        remaining: f64,
-        _path: (u32, u32),
-        _coflow: usize,
-        _id: usize,
-        _src: usize,
-        _dst: usize,
-        _size: f64,
-        _queue: usize,
-        _fresh: bool,
-        _parked: bool,
-        _stamp: u64,
-    }
 
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move || {
@@ -469,17 +435,14 @@ fn advance_benches() -> Vec<(String, f64)> {
         state
     };
     // Rates mix zero (parked), modest, and large values; `remaining`
-    // is big enough that ITERS sweeps never clamp a flow to zero, so
-    // both layouts do exactly the same arithmetic every iteration.
+    // is big enough that ITERS sweeps never clamp a flow to zero.
     let rate: Vec<f64> = (0..FLOWS)
         .map(|_| match next() % 8 {
             0 => 0.0,
             r => (r * 1000) as f64 + (next() % 997) as f64,
         })
         .collect();
-    let start_remaining = 1.0e15;
-
-    let mut remaining: Vec<f64> = vec![start_remaining; FLOWS];
+    let mut remaining: Vec<f64> = vec![1.0e15; FLOWS];
     let t0 = Instant::now();
     for _ in 0..ITERS {
         for (r, rem) in rate.iter().zip(remaining.iter_mut()) {
@@ -492,55 +455,8 @@ fn advance_benches() -> Vec<(String, f64)> {
         }
     }
     let soa_ns = t0.elapsed().as_nanos() as f64 / f64::from(ITERS) / FLOWS as f64;
-    let soa_sum: f64 = std::hint::black_box(&remaining).iter().sum();
-
-    let mut flows: Vec<FlowAos> = rate
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| FlowAos {
-            rate: r,
-            remaining: start_remaining,
-            _path: (i as u32, 5),
-            _coflow: i / 16,
-            _id: i,
-            _src: i % 1024,
-            _dst: (i * 7) % 1024,
-            _size: start_remaining,
-            _queue: i % 4,
-            _fresh: false,
-            _parked: false,
-            _stamp: i as u64,
-        })
-        .collect();
-    let t0 = Instant::now();
-    for _ in 0..ITERS {
-        for f in flows.iter_mut() {
-            let moved = if f.rate > 0.0 && f.rate.is_finite() {
-                (f.rate * DT).min(f.remaining)
-            } else {
-                0.0
-            };
-            f.remaining -= moved;
-        }
-    }
-    let aos_ns = t0.elapsed().as_nanos() as f64 / f64::from(ITERS) / FLOWS as f64;
-    let aos_sum: f64 = std::hint::black_box(&flows)
-        .iter()
-        .map(|f| f.remaining)
-        .sum();
-    assert!(
-        soa_sum == aos_sum,
-        "layouts must perform identical arithmetic ({soa_sum} vs {aos_sum})"
-    );
-
-    vec![
-        ("soa".to_owned(), soa_ns),
-        ("aos".to_owned(), aos_ns),
-        (
-            "aos_over_soa".to_owned(),
-            if soa_ns > 0.0 { aos_ns / soa_ns } else { 0.0 },
-        ),
-    ]
+    std::hint::black_box(&remaining);
+    vec![("soa".to_owned(), soa_ns)]
 }
 
 fn main() {
@@ -623,7 +539,7 @@ fn main() {
     }
     println!(
         "large ({} pods, {} jobs): {} events in {:.3}s -> {:.0} events/sec \
-         (binary heap: {:.0}, telemetry armed: {:.0} over {} records, \
+         (telemetry armed: {:.0} over {} records, \
          metrics armed: {:.0}, parallel x{}: {:.0} = {:.2}x), \
          arena {} unique / {:.1} KiB, peak RSS {:.1} MiB",
         rep.large.pods,
@@ -631,7 +547,6 @@ fn main() {
         rep.large.events,
         rep.large.wall_sec,
         rep.large.events_per_sec,
-        rep.large.events_per_sec_binary_heap,
         rep.large.events_per_sec_telemetry,
         rep.large.telemetry_records,
         rep.large.events_per_sec_metrics,

@@ -25,9 +25,10 @@ use std::time::Instant;
 /// `path_arena_storage_bytes` (see DESIGN.md on why the hit rate is
 /// structurally 0 at k = 48). v4 added `advance_ns_per_flow`: the
 /// flow-advance sweep microbenchmark over the engine's SoA hot-state
-/// layout, with a pre-PR-9 AoS layout A/B alongside (labels `soa`,
-/// `aos`, `aos_over_soa`) — CI gates on the `soa` entry regressing
-/// less than 10% against the committed baseline. v5 added the large
+/// layout (label `soa`) — CI gates on it regressing less than 10%
+/// against the committed baseline. (Its AoS A/B labels `aos` and
+/// `aos_over_soa` were dropped later without a bump: readers only ever
+/// required `soa`.) v5 added the large
 /// gate's `events_per_sec_metrics`: the event loop with a live
 /// `MetricsSink` armed (the daemon's aggregation path) — CI gates the
 /// aggregation's overhead against `events_per_sec_telemetry` (the

@@ -4,7 +4,8 @@
 //! payload types all derive the workspace serde, so a `JobSpec` travels
 //! the socket in exactly the format `gurita_workload::trace` uses on
 //! disk. Unknown commands produce an `ok: false` response rather than
-//! closing the connection, so clients can be newer than the daemon.
+//! closing the connection, so clients can be newer than the daemon;
+//! unparsable lines and lines over [`MAX_LINE_BYTES`] get one too.
 //!
 //! ```text
 //! -> {"cmd":"submit","name":"etl","depends_on":["ingest"],"job":{...}}
@@ -17,7 +18,7 @@
 
 use gurita_model::JobSpec;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// A client request. `cmd` selects the operation; the remaining fields
 /// are operation-specific and default to empty.
@@ -103,7 +104,7 @@ pub struct DaemonStats {
     pub open_flows: usize,
     /// Coflows currently active.
     pub open_coflows: usize,
-    /// Events pending in the engine's calendar.
+    /// Events pending in the engine's event queue.
     pub pending_events: usize,
     /// Jobs by registry state.
     pub jobs_held: usize,
@@ -183,25 +184,63 @@ pub fn write_line<T: Serialize, W: Write>(w: &mut W, msg: &T) -> io::Result<()> 
     w.flush()
 }
 
+/// Longest line [`read_line`] accepts, newline included: 16 MiB. The
+/// largest `submit` line of 1,000 bursty 48-pod FB-Tao jobs is ~97 KB
+/// and a 1,000-job `queue` reply ~157 KB, so the bound only stops one
+/// peer line from exhausting the reader's memory.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Reads one JSON line into `T`. Returns `Ok(None)` at end of stream
-/// (peer closed), `Err` on I/O failure or malformed JSON.
+/// (peer closed), `Err` on I/O failure, malformed JSON, or a line
+/// longer than [`MAX_LINE_BYTES`]. Buffering stops at the bound: the
+/// rest of an over-long line is discarded unread, so the stream stays
+/// framed and the next call reads the next line.
 ///
 /// # Errors
 ///
-/// I/O errors from the reader; `InvalidData` for unparseable lines.
+/// I/O errors from the reader; `InvalidData` for unparseable or
+/// over-long lines.
 pub fn read_line<T: Deserialize, R: BufRead>(r: &mut R) -> io::Result<Option<T>> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        let n = Read::take(&mut *r, MAX_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
+        if n == 0 {
             return Ok(None);
         }
-        if line.trim().is_empty() {
+        if n == MAX_LINE_BYTES && !line.ends_with(b"\n") {
+            skip_line(r)?;
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("line exceeds {MAX_LINE_BYTES} bytes"),
+            ));
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad line: {e}")))?
+            .trim();
+        if text.is_empty() {
             continue; // tolerate blank keep-alive lines
         }
-        return serde_json::from_str(line.trim())
+        return serde_json::from_str(text)
             .map(Some)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad line: {e}")));
+    }
+}
+
+/// Discards input through the next newline (or end of stream) without
+/// buffering it.
+fn skip_line<R: BufRead>(r: &mut R) -> io::Result<()> {
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if let Some(i) = buf.iter().position(|&b| b == b'\n') {
+            r.consume(i + 1);
+            return Ok(());
+        }
+        let n = buf.len();
+        r.consume(n);
     }
 }
 

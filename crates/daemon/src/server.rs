@@ -282,7 +282,7 @@ impl HealthGauges {
             ),
             pending_events: g(
                 "gurita_engine_pending_events",
-                "Events pending in the engine's calendar.",
+                "Events pending in the engine's event queue.",
             ),
             vtime: g("gurita_engine_vtime_seconds", "Current virtual time."),
             jobs_held: g("gurita_registry_jobs_held", "Jobs gated on dependencies."),
@@ -379,7 +379,17 @@ fn accept_loop(listener: UnixListener, tx: mpsc::Sender<Cmd>, stop: Arc<AtomicBo
 fn handle_connection(stream: UnixStream, tx: mpsc::Sender<Cmd>) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    while let Some(req) = read_line::<Request, _>(&mut reader)? {
+    loop {
+        let req = match read_line::<Request, _>(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) => break,
+            // Garbage or an over-long line: answer it and keep serving.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                write_line(&mut writer, &Response::err(e.to_string()))?;
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
         let (reply_tx, reply_rx) = mpsc::channel();
         if tx
             .send(Cmd {

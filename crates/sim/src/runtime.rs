@@ -20,7 +20,6 @@
 //! only to flows that start later.
 
 use crate::bandwidth::{Allocator, Demands, Discipline};
-use crate::calendar::CalendarQueue;
 use crate::control::{Centralized, ControlInput, ControlPlane, LocalObservation};
 use crate::faults::{
     resalt_live_path, ControlFaultEvent, ControlFaults, FaultOverlay, FaultSchedule, TimedFault,
@@ -33,8 +32,8 @@ use crate::topology::{Fabric, LinkId, PathArena, PathRef};
 use crate::SimError;
 use gurita_model::{CoflowId, FlowId, HostId, JobId, JobSpec};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Mutex;
 
 /// Simulation tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,28 +67,23 @@ pub struct SimConfig {
     /// — incremental agreed with it only to ~1e-9 relative. The merged
     /// path is gone; both modes now produce identical rates.)
     pub force_full_recompute: bool,
-    /// Worker threads for intra-run parallel work: the disjoint
-    /// flow↔link components of one recompute epoch — incremental *or*
-    /// full-pass — are waterfilled concurrently on a scoped worker
-    /// pool, each with its own [`Allocator`] scratch, and merged in
-    /// component-index order; large epochs additionally overlap the
-    /// component-discovery BFS with allocation (the caller discovers
-    /// component `i+1` while workers waterfill component `i`), and the
-    /// per-event flow-advance sweep fans over fixed index-ordered
-    /// chunks of the flow table. `1` (the default) runs everything on
-    /// the calling thread; `0` resolves to one worker per available
-    /// core (see [`crate::pool::effective_threads`]).
+    /// Worker threads for the rate recompute: the disjoint flow↔link
+    /// components of one recompute epoch — incremental, reweighted or
+    /// full — are waterfilled concurrently on a persistent worker pool,
+    /// each with its own [`Allocator`] scratch, and merged in
+    /// component-index order. Every other engine stage (event queue,
+    /// flow advance, harvest, scheduler decision) runs on the calling
+    /// thread. `1` (the default) runs everything on the calling thread;
+    /// `0` resolves to one worker per available core (see
+    /// [`crate::pool::effective_threads`]).
     ///
     /// Results are **bit-for-bit identical** at every thread count:
     /// every epoch waterfills per component (components are disjoint by
     /// construction, so each call sees exactly the same demand
     /// subsequence, link capacities, and discipline regardless of where
-    /// or when it runs), streamed discovery assembles results in
-    /// discovery-index order, and the fanned advance updates each flow
-    /// independently with link-byte accounting merged in chunk order.
-    /// Parallelism only changes wall-clock time — pinned by the
-    /// serial-vs-parallel equality property tests, including forced
-    /// full passes.
+    /// or when it runs). Parallelism only changes wall-clock time —
+    /// pinned by the serial-vs-parallel equality property tests,
+    /// including forced full passes.
     pub threads: usize,
     /// Decision-propagation latency of a decentralized control plane, in
     /// seconds: a fresh priority table computed from merged per-host
@@ -99,13 +93,6 @@ pub struct SimConfig {
     /// traffic — result-identical to the centralized adapter for ported
     /// schemes. Ignored by [`crate::control::Centralized`].
     pub control_latency: f64,
-    /// Use the classic `BinaryHeap` event queue instead of the bucketed
-    /// calendar queue. Off by default; the calendar queue pops events in
-    /// the exact `(time, seq)` order the heap does, so results are
-    /// bit-for-bit identical either way — this knob exists as a safety
-    /// valve and as the reference behavior for the equivalence property
-    /// tests, mirroring [`SimConfig::force_full_recompute`].
-    pub force_binary_heap_events: bool,
     /// Arms the telemetry layer (see [`crate::telemetry`]): lifecycle
     /// event tracing and epoch-sampled time series, delivered to the
     /// sink passed to a `*_traced` entry point such as
@@ -134,7 +121,6 @@ impl Default for SimConfig {
             force_full_recompute: false,
             threads: 1,
             control_latency: 0.0,
-            force_binary_heap_events: false,
             telemetry: None,
             control_faults: None,
         }
@@ -199,65 +185,6 @@ impl Ord for Event {
     }
 }
 
-/// The pending-event set: a bucketed [`CalendarQueue`] by default (O(1)
-/// amortized), or the classic binary heap when
-/// [`SimConfig::force_binary_heap_events`] is set. Both pop in the exact
-/// same `(time, seq)` order.
-#[derive(Debug)]
-enum EventQueue {
-    Heap(BinaryHeap<Event>),
-    Calendar(CalendarQueue),
-}
-
-impl EventQueue {
-    fn new(force_heap: bool) -> Self {
-        if force_heap {
-            EventQueue::Heap(BinaryHeap::new())
-        } else {
-            EventQueue::Calendar(CalendarQueue::new())
-        }
-    }
-
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(ev),
-            EventQueue::Calendar(c) => c.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    fn any(&self, mut f: impl FnMut(&Event) -> bool) -> bool {
-        match self {
-            EventQueue::Heap(h) => h.iter().any(&mut f),
-            EventQueue::Calendar(c) => c.any(f),
-        }
-    }
-
-    /// Timestamp of the next event without removing it (the calendar may
-    /// advance its window cursor, which never changes pop order). Drives
-    /// [`Engine::run_until`]'s horizon check.
-    fn next_time(&mut self) -> Option<f64> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|e| e.time),
-            EventQueue::Calendar(c) => c.next_time(),
-        }
-    }
-
-    /// Pending events (telemetry epoch samples).
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len(),
-        }
-    }
-}
-
 /// Cold per-flow state: identity, endpoints, queue assignment, and
 /// lifecycle flags — everything the per-event sweeps do *not* touch.
 /// The hot fields (rate, remaining, path, coflow id) live in the
@@ -288,7 +215,7 @@ struct FlowState {
 ///
 /// * `advance_to` sweeps `rate` × `remaining` (plus `path` with link
 ///   stats armed) — now a branch-poor, vectorizable kernel over dense
-///   `f64` lanes, and independently fan-able in index chunks;
+///   `f64` lanes;
 /// * the completion filter scans `remaining` / `path`;
 /// * the dirty-component BFS and the demand views walk `path`;
 /// * coflow attribution on completion/park reads `coflow`.
@@ -708,78 +635,6 @@ const FLOWING_EPS: f64 = 1e-15;
 /// per-component loop, so the threshold can never change results.
 const PAR_MIN_FLOWS: usize = 32;
 
-/// Minimum open flows before the per-event advance sweep fans across
-/// the pool. The sweep costs ~1 ns/flow, so below a few thousand flows
-/// the condvar wakeup would eat the win. Wall-clock heuristic only:
-/// each flow's update is independent, so the serial sweep and any
-/// chunking produce bit-identical state.
-const PAR_MIN_ADVANCE_FLOWS: usize = 1024;
-
-/// Floor on the fanned advance sweep's chunk width (flows per task), so
-/// a pathological `threads ≫ flows` setting cannot shred the sweep into
-/// cache-line-sized tasks.
-const MIN_ADVANCE_CHUNK: usize = 256;
-
-/// Minimum dirty seed links before an incremental epoch takes the
-/// streamed (BFS-overlapped) recompute path; smaller epochs — the
-/// common completion/arrival case touching one short path — collect
-/// their components first and then decide serial vs fanned as before.
-/// Wall-clock heuristic only: the streamed path discovers the same
-/// components in the same order and waterfills them with the same pure
-/// per-component calls.
-const PAR_MIN_SEED_LINKS: usize = 48;
-
-/// Split-borrow scratch for the flow↔link component BFS, shared by the
-/// batch collectors ([`Engine::collect_component`],
-/// [`Engine::collect_full_components`]) and the streamed producer in
-/// [`Engine::recompute_streamed`]. Expanding a link validates its
-/// `link_flows` adjacency entries and compacts stale ones in place,
-/// exactly as the pre-split inline BFS did.
-struct ComponentBfs<'a> {
-    flows: &'a [FlowState],
-    paths: &'a [PathRef],
-    flow_pos: &'a FlowPosMap,
-    arena: &'a PathArena,
-    link_flows: &'a mut [Vec<FlowId>],
-    flow_mark: &'a mut [u64],
-    link_mark: &'a mut [u64],
-    stack: &'a mut Vec<usize>,
-}
-
-impl ComponentBfs<'_> {
-    /// Drains the stack, appending every newly reached flow position to
-    /// `out` (discovery order; callers sort the finished group).
-    fn expand(&mut self, epoch: u64, out: &mut Vec<usize>) {
-        while let Some(li) = self.stack.pop() {
-            // Take the adjacency list out so we can mutate marks while
-            // validating entries; put the compacted list back.
-            let mut list = std::mem::take(&mut self.link_flows[li]);
-            list.retain(|fid| {
-                let Some(pos) = self.flow_pos.get(*fid) else {
-                    return false; // completed
-                };
-                let path = self.arena.get(self.paths[pos]);
-                if self.flows[pos].parked || !path.iter().any(|l| l.index() == li) {
-                    return false; // parked or rerouted away
-                }
-                if self.flow_mark[pos] != epoch {
-                    self.flow_mark[pos] = epoch;
-                    out.push(pos);
-                    for l in path {
-                        let lj = l.index();
-                        if self.link_mark[lj] != epoch {
-                            self.link_mark[lj] = epoch;
-                            self.stack.push(lj);
-                        }
-                    }
-                }
-                true
-            });
-            self.link_flows[li] = list;
-        }
-    }
-}
-
 /// Union-find `find` with path halving; indices are flow-table
 /// positions, roots satisfy `parent[x] == x`. Used by the full-pass
 /// component grouping (see [`Engine::collect_full_components`]).
@@ -791,41 +646,6 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
         x = grand;
     }
     x
-}
-
-/// One connected component streamed from the BFS producer to the
-/// waterfill workers: membership (sorted flow-table positions) plus a
-/// recycled output buffer the worker fills with rates.
-struct CompJob {
-    index: usize,
-    positions: Vec<usize>,
-    rates: Vec<f64>,
-}
-
-/// A waterfilled component on its way back from a worker; `index`
-/// restores discovery order so assembly is schedule-independent.
-struct CompResult {
-    index: usize,
-    positions: Vec<usize>,
-    rates: Vec<f64>,
-    touched: usize,
-    passes: u64,
-}
-
-/// Closes the streamed-component queue when the producer returns *or
-/// unwinds*: workers blocked in `Condvar::wait` must always observe
-/// `done`, or `WorkerPool::run_with` would never drain the batch.
-struct CloseOnDrop<'a> {
-    queue: &'a Mutex<(VecDeque<CompJob>, bool)>,
-    ready: &'a Condvar,
-}
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        // Recover from poisoning: this guard may run while unwinding.
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
-        self.ready.notify_all();
-    }
 }
 
 /// Dense flow-id → flow-table position map. Flow ids are handed out
@@ -940,7 +760,8 @@ pub struct Engine<'a, F: Fabric> {
     plane: &'a mut dyn ControlPlane,
     specs: HashMap<JobId, JobSpec>,
 
-    queue: EventQueue,
+    /// Pending events, popped in `(time, seq)` order (see [`Event`]).
+    queue: BinaryHeap<Event>,
     seq: u64,
     now: f64,
     events: u64,
@@ -1051,20 +872,8 @@ pub struct Engine<'a, F: Fabric> {
     comp_bounds: Vec<usize>,
     /// Rate output buffer for the allocator (scratch).
     rate_buf: Vec<f64>,
-    /// Recycled per-component flow-position buffers for the streamed
-    /// (BFS-overlapped) recompute path (scratch; see
-    /// [`Engine::recompute_streamed`]).
-    comp_pos_bufs: Vec<Vec<usize>>,
-    /// Recycled per-component rate buffers for the streamed path
-    /// (scratch).
-    comp_rate_bufs: Vec<Vec<f64>>,
-    /// Recycled per-chunk sparse `(link, bytes)` accumulators for the
-    /// fanned stats-on advance sweep (scratch).
-    advance_stat_bufs: Vec<Vec<(u32, f64)>>,
-    /// Effective intra-run worker count (see [`SimConfig::threads`]).
-    threads: usize,
     /// Parked worker threads for parallel recomputation; `None` when
-    /// `threads == 1`.
+    /// the effective [`SimConfig::threads`] is 1.
     pool: Option<WorkerPool>,
     /// One waterfill scratch [`Allocator`] per pool worker slot, built
     /// lazily on the first parallel dispatch (each is fabric-sized).
@@ -1073,8 +882,8 @@ pub struct Engine<'a, F: Fabric> {
     worker_alloc: Vec<Mutex<Allocator>>,
     /// Links touched / waterfill passes summed over the most recent
     /// recompute epoch's allocator calls, in component-index order —
-    /// the telemetry view stays coherent whether the epoch ran
-    /// per-component serial, batch-parallel, or streamed.
+    /// the telemetry view stays coherent whether the epoch ran serial
+    /// or fanned.
     last_alloc_touched: usize,
     last_alloc_passes: u64,
     /// Lazy completion index: predicted finish times keyed by rate stamp.
@@ -1100,7 +909,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         faults: &FaultSchedule,
         sink: Option<&'a mut dyn TelemetrySink>,
     ) -> Self {
-        let mut queue = EventQueue::new(config.force_binary_heap_events);
+        let mut queue = BinaryHeap::new();
         let mut seq = 0u64;
         let remaining_jobs = jobs.len();
         let mut specs = HashMap::with_capacity(jobs.len());
@@ -1195,10 +1004,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
-            comp_pos_bufs: Vec::new(),
-            comp_rate_bufs: Vec::new(),
-            advance_stat_bufs: Vec::new(),
-            threads,
             pool: (threads > 1).then(|| WorkerPool::new(threads)),
             worker_alloc: Vec::new(),
             last_alloc_touched: 0,
@@ -1365,7 +1170,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
     pub fn run_until(&mut self, horizon: f64) -> Result<StepOutcome, SimError> {
         self.ensure_started();
         loop {
-            match self.queue.next_time() {
+            match self.queue.peek().map(|e| e.time) {
                 Some(t) if t <= horizon => {
                     // Keep draining even past a transient drain: stale
                     // ticks/completions inside the horizon are popped so
@@ -1674,22 +1479,20 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// current rate. The `collect_link_stats` branch is hoisted out of
     /// the per-flow loop into two loop variants, so the (default)
     /// stats-off path runs the dense [`Engine::advance_span`] kernel
-    /// with zero per-flow branching on the config; both variants fan
-    /// across the worker pool in fixed index-ordered chunks once the
-    /// flow table is large enough to pay for a pool wakeup.
+    /// with zero per-flow branching on the config.
     fn advance_to(&mut self, t: f64) {
         let dt = t - self.now;
         if dt > 0.0 && !self.flows.is_empty() {
             if self.config.collect_link_stats {
                 self.advance_flows_stats(dt);
             } else {
-                self.advance_flows(dt);
+                Self::advance_span(&self.hot.rate, &mut self.hot.remaining, dt);
             }
         }
         self.now = t.max(self.now);
     }
 
-    /// The flow-advance kernel over a span of the SoA block:
+    /// The flow-advance kernel over the SoA block:
     /// `remaining[i] -= min(rate[i]·dt, remaining[i])` for positive
     /// finite rates. Written as an unconditional store with a selected
     /// operand (rather than a conditional store) over two dense `f64`
@@ -1707,107 +1510,16 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
-    /// Fixed chunk width for the fanned advance sweep: one index-ordered
-    /// chunk per worker, floored so a chunk always carries enough flows
-    /// to outweigh a task claim. Purely a wall-clock heuristic — each
-    /// flow's update is independent of every other's, so chunk
-    /// boundaries (and hence the thread count) cannot change results.
-    fn advance_chunk(n: usize, threads: usize) -> usize {
-        n.div_ceil(threads).max(MIN_ADVANCE_CHUNK)
-    }
-
-    /// Stats-off advance: the branch-free SoA sweep, fanned across the
-    /// pool in fixed index-ordered chunks when the flow table is large
-    /// enough. Every chunk's updates are elementwise-independent, so
-    /// the fan-out is bit-for-bit identical to the serial sweep at any
-    /// thread count.
-    fn advance_flows(&mut self, dt: f64) {
-        let n = self.flows.len();
-        if n >= PAR_MIN_ADVANCE_FLOWS {
-            if let Some(pool) = self.pool.as_ref() {
-                let chunk = Self::advance_chunk(n, self.threads);
-                let rate = &self.hot.rate;
-                // Disjoint per-chunk `remaining` spans; task `c` locks
-                // chunk `c` exactly once, so the mutexes are uncontended
-                // bookkeeping for the borrow checker, not contention
-                // points (same pattern as the component fan-out).
-                let chunks: Vec<Mutex<&mut [f64]>> = self
-                    .hot
-                    .remaining
-                    .chunks_mut(chunk)
-                    .map(Mutex::new)
-                    .collect();
-                let task = |_slot: usize, c: usize| {
-                    let mut rem = chunks[c].lock().expect("chunk lock poisoned");
-                    let s = c * chunk;
-                    Self::advance_span(&rate[s..s + rem.len()], &mut rem, dt);
-                };
-                pool.run(chunks.len(), &task);
-                return;
-            }
-        }
-        Self::advance_span(&self.hot.rate, &mut self.hot.remaining, dt);
-    }
-
     /// Stats-on advance: the same sweep plus per-link byte accounting
-    /// into the dense `link_bytes` array. The fanned variant records
-    /// each chunk's `(link, bytes)` contributions in flow order into a
-    /// per-chunk sparse accumulator and merges them chunk-by-chunk —
-    /// chunks are index-ordered, so every link sees its additions in
-    /// exactly the serial loop's flow order and the f64 sums are
-    /// bit-for-bit identical at any thread count.
+    /// into the dense `link_bytes` array, in flow-table order.
     fn advance_flows_stats(&mut self, dt: f64) {
-        let n = self.flows.len();
-        let fanned = n >= PAR_MIN_ADVANCE_FLOWS && self.pool.is_some();
-        if fanned {
-            let chunk = Self::advance_chunk(n, self.threads);
-            let nchunks = n.div_ceil(chunk);
-            let outs: Vec<Mutex<Vec<(u32, f64)>>> = (0..nchunks)
-                .map(|_| Mutex::new(self.advance_stat_bufs.pop().unwrap_or_default()))
-                .collect();
-            let rate = &self.hot.rate;
-            let path = &self.hot.path;
-            let arena = &self.arena;
-            let chunks: Vec<Mutex<&mut [f64]>> = self
-                .hot
-                .remaining
-                .chunks_mut(chunk)
-                .map(Mutex::new)
-                .collect();
-            let pool = self.pool.as_ref().expect("fanned implies pool");
-            let task = |_slot: usize, c: usize| {
-                let mut rem = chunks[c].lock().expect("chunk lock poisoned");
-                let mut out = outs[c].lock().expect("stat buf lock poisoned");
-                let s = c * chunk;
-                for (i, rem) in rem.iter_mut().enumerate() {
-                    let r = rate[s + i];
-                    if r > 0.0 && r.is_finite() {
-                        let moved = (r * dt).min(*rem);
-                        *rem -= moved;
-                        for l in arena.get(path[s + i]) {
-                            out.push((l.index() as u32, moved));
-                        }
-                    }
-                }
-            };
-            pool.run(nchunks, &task);
-            for m in outs {
-                let mut buf = m.into_inner().expect("stat buf lock poisoned");
-                for &(l, b) in &buf {
-                    self.link_bytes[l as usize] += b;
-                }
-                buf.clear();
-                self.advance_stat_bufs.push(buf);
-            }
-        } else {
-            for pos in 0..n {
-                let r = self.hot.rate[pos];
-                if r > 0.0 && r.is_finite() {
-                    let moved = (r * dt).min(self.hot.remaining[pos]);
-                    self.hot.remaining[pos] -= moved;
-                    for l in self.arena.get(self.hot.path[pos]) {
-                        self.link_bytes[l.index()] += moved;
-                    }
+        for pos in 0..self.flows.len() {
+            let r = self.hot.rate[pos];
+            if r > 0.0 && r.is_finite() {
+                let moved = (r * dt).min(self.hot.remaining[pos]);
+                self.hot.remaining[pos] -= moved;
+                for l in self.arena.get(self.hot.path[pos]) {
+                    self.link_bytes[l.index()] += moved;
                 }
             }
         }
@@ -2152,6 +1864,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
         let can_change = self
             .queue
+            .iter()
             .any(|e| matches!(e.kind, EventKind::JobArrival(_) | EventKind::Fault { .. }));
         if can_change {
             Ok(())
@@ -2680,24 +2393,40 @@ impl<'a, F: Fabric> Engine<'a, F> {
         // Take the seed list out so the BFS below can borrow the rest
         // of `self`; hand the allocation back (cleared) afterwards.
         let seeds = std::mem::take(&mut self.dirty.links);
-        let mut bfs = ComponentBfs {
-            flows: &self.flows,
-            paths: &self.hot.path,
-            flow_pos: &self.flow_pos,
-            arena: &self.arena,
-            link_flows: &mut self.link_flows,
-            flow_mark: &mut self.flow_mark,
-            link_mark: &mut self.link_mark,
-            stack: &mut self.bfs_stack,
-        };
         for &seed in &seeds {
-            if bfs.link_mark[seed] == epoch {
+            if self.link_mark[seed] == epoch {
                 continue; // joins a component already collected
             }
-            bfs.link_mark[seed] = epoch;
-            bfs.stack.push(seed);
+            self.link_mark[seed] = epoch;
+            self.bfs_stack.push(seed);
             let start = self.component.len();
-            bfs.expand(epoch, &mut self.component);
+            while let Some(li) = self.bfs_stack.pop() {
+                // Take the adjacency list out so we can mutate marks
+                // while validating entries; put the compacted list back.
+                let mut list = std::mem::take(&mut self.link_flows[li]);
+                list.retain(|fid| {
+                    let Some(pos) = self.flow_pos.get(*fid) else {
+                        return false; // completed
+                    };
+                    let path = self.arena.get(self.hot.path[pos]);
+                    if self.flows[pos].parked || !path.iter().any(|l| l.index() == li) {
+                        return false; // parked or rerouted away
+                    }
+                    if self.flow_mark[pos] != epoch {
+                        self.flow_mark[pos] = epoch;
+                        self.component.push(pos);
+                        for l in path {
+                            let lj = l.index();
+                            if self.link_mark[lj] != epoch {
+                                self.link_mark[lj] = epoch;
+                                self.bfs_stack.push(lj);
+                            }
+                        }
+                    }
+                    true
+                });
+                self.link_flows[li] = list;
+            }
             if self.component.len() > start {
                 // Ascending flow-table order within the component so its
                 // demand sequence is independent of BFS visit order.
@@ -2999,94 +2728,52 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 }
             }
         }
-        // Component discovery + allocation. Incremental passes with a
-        // pool and enough seed links stream the (expensive, adjacency-
-        // validating) BFS against the waterfill workers — the caller
-        // discovers component i+1 while workers allocate component i.
-        // Full and reweighted passes never stream: their partition is
-        // the union-find grouping (a few linear sweeps, or a cache hit;
-        // no adjacency work to hide, and a later flow can merge two
-        // earlier groups, so no component is final until the union
-        // sweep ends), and the streamed BFS would only reach the
-        // components of the dirty seeds, missing the multi-queue ones a
-        // weight change moves. They batch-collect and then fan or loop
-        // like any other pass. Both orders produce the same
-        // `component` / `comp_bounds` / `rate_buf` triple bit-for-bit.
-        let streamed = !full
-            && !reweighted
-            && self.pool.is_some()
-            && self.dirty.links.len() >= PAR_MIN_SEED_LINKS;
-        if streamed {
-            self.recompute_streamed(&discipline);
+        // Component discovery, then allocation: the pool fan-out or the
+        // serial per-component loop, which produce the same `rate_buf`
+        // bit-for-bit.
+        if full {
+            self.dirty.links.clear();
+            self.collect_full_components();
+        } else if reweighted {
+            self.collect_reweighted_components();
         } else {
-            if full {
-                self.dirty.links.clear();
-                self.collect_full_components();
-            } else if reweighted {
-                self.collect_reweighted_components();
-            } else {
-                self.collect_component();
-            }
-            if self.component.is_empty() {
-                return;
-            }
-            self.rate_buf.clear();
-            self.rate_buf.resize(self.component.len(), 0.0);
-            let ncomp = self.comp_bounds.len() - 1;
-            if ncomp == 1 {
-                // One component: a single waterfill, on the engine's own
-                // allocator — identical at every thread count.
+            self.collect_component();
+        }
+        if self.component.is_empty() {
+            return;
+        }
+        self.rate_buf.clear();
+        self.rate_buf.resize(self.component.len(), 0.0);
+        let ncomp = self.comp_bounds.len() - 1;
+        if ncomp > 1 && self.pool.is_some() && self.component.len() >= PAR_MIN_FLOWS {
+            self.recompute_components_parallel(&discipline);
+        } else {
+            // Per-component serial loop: the reference the fan-out must
+            // match bit-for-bit. Components are disjoint in both flows
+            // and links, so each call's inputs — and hence its output
+            // rates — are independent of the other components entirely.
+            self.last_alloc_touched = 0;
+            self.last_alloc_passes = 0;
+            let fabric = self.fabric;
+            for c in 0..ncomp {
+                let (s, e) = (self.comp_bounds[c], self.comp_bounds[c + 1]);
                 let view = FlowDemandView {
                     flows: &self.flows,
                     paths: &self.hot.path,
-                    subset: &self.component,
+                    subset: &self.component[s..e],
                     arena: &self.arena,
                 };
-                let fabric = self.fabric;
                 let overlay = &self.overlay;
                 self.allocator.allocate_into(
                     &view,
                     |l| fabric.link_capacity(l) * overlay.scale(l),
                     &discipline,
-                    &mut self.rate_buf,
+                    &mut self.rate_buf[s..e],
                 );
-                self.last_alloc_touched = self.allocator.last_touched_links();
-                self.last_alloc_passes = self.allocator.last_waterfill_passes();
-            } else if self.pool.is_some() && self.component.len() >= PAR_MIN_FLOWS {
-                self.recompute_components_parallel(&discipline);
-            } else {
-                // Per-component serial loop: the reference the parallel
-                // branches must match bit-for-bit. Components are
-                // disjoint in both flows and links, so each call's
-                // inputs — and hence its output rates — are independent
-                // of the other components entirely.
-                self.last_alloc_touched = 0;
-                self.last_alloc_passes = 0;
-                let fabric = self.fabric;
-                for c in 0..ncomp {
-                    let (s, e) = (self.comp_bounds[c], self.comp_bounds[c + 1]);
-                    let view = FlowDemandView {
-                        flows: &self.flows,
-                        paths: &self.hot.path,
-                        subset: &self.component[s..e],
-                        arena: &self.arena,
-                    };
-                    let overlay = &self.overlay;
-                    self.allocator.allocate_into(
-                        &view,
-                        |l| fabric.link_capacity(l) * overlay.scale(l),
-                        &discipline,
-                        &mut self.rate_buf[s..e],
-                    );
-                    self.last_alloc_touched += self.allocator.last_touched_links();
-                    self.last_alloc_passes += self.allocator.last_waterfill_passes();
-                }
+                self.last_alloc_touched += self.allocator.last_touched_links();
+                self.last_alloc_passes += self.allocator.last_waterfill_passes();
             }
         }
-        if self.component.is_empty() {
-            return;
-        }
-        let ncomp = self.comp_bounds.len() - 1;
         if self.probe.on() {
             self.probe.component_calls += ncomp as u64;
         }
@@ -3128,8 +2815,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
     fn recompute_components_parallel(&mut self, discipline: &Discipline) {
         let ncomp = self.comp_bounds.len() - 1;
         let fabric = self.fabric;
-        if self.worker_alloc.len() < self.threads {
-            self.worker_alloc.resize_with(self.threads, || {
+        let pool = self.pool.as_ref().expect("caller checked");
+        if self.worker_alloc.len() < pool.threads() {
+            self.worker_alloc.resize_with(pool.threads(), || {
                 Mutex::new(Allocator::new(fabric.num_links()))
             });
         }
@@ -3153,7 +2841,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         let component = &self.component;
         let bounds = &self.comp_bounds;
         let scratch = &self.worker_alloc;
-        let pool = self.pool.as_ref().expect("caller checked");
         let spans_ref = &spans;
         let task = move |slot: usize, c: usize| {
             let (s, e) = (bounds[c], bounds[c + 1]);
@@ -3191,181 +2878,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         if self.probe.on() {
             self.probe.parallel_epochs += 1;
         }
-    }
-
-    /// Streamed incremental recompute: overlaps component *discovery*
-    /// with component *allocation*. The caller thread runs the
-    /// seed-link BFS (it owns the mutable marks and `link_flows`
-    /// compaction) and hands each finished component through a queue to
-    /// the pool workers, which waterfill it into a recycled buffer
-    /// while the caller is already discovering the next one. After the
-    /// BFS finishes the caller drains the queue too (as worker slot 0).
-    /// Full passes never come here — their union-find grouping has no
-    /// discovery cost worth hiding (see
-    /// [`Engine::collect_full_components`]).
-    ///
-    /// Determinism: components get their index in discovery order —
-    /// the same order the batch collectors produce — and results are
-    /// sorted by that index before `component` / `comp_bounds` /
-    /// `rate_buf` are assembled, so the triple is byte-identical to the
-    /// batch path's regardless of which worker ran which component
-    /// when. Each waterfill is the same pure per-component call.
-    fn recompute_streamed(&mut self, discipline: &Discipline) {
-        let epoch = self.begin_bfs_epoch();
-        let fabric = self.fabric;
-        if self.worker_alloc.len() < self.threads {
-            self.worker_alloc.resize_with(self.threads, || {
-                Mutex::new(Allocator::new(fabric.num_links()))
-            });
-        }
-        let seeds = std::mem::take(&mut self.dirty.links);
-        // Recycled membership / rate buffers ride along inside the jobs
-        // and come back via the results, so steady state allocates
-        // nothing.
-        let pos_pool = Mutex::new(std::mem::take(&mut self.comp_pos_bufs));
-        let rate_pool = Mutex::new(std::mem::take(&mut self.comp_rate_bufs));
-        let queue: Mutex<(VecDeque<CompJob>, bool)> = Mutex::new((VecDeque::new(), false));
-        let ready = Condvar::new();
-        let results: Mutex<Vec<CompResult>> = Mutex::new(Vec::new());
-        {
-            let flows = &self.flows;
-            let paths = &self.hot.path;
-            let arena = &self.arena;
-            let overlay = &self.overlay;
-            let scratch = &self.worker_alloc;
-            let (queue, ready, results) = (&queue, &ready, &results);
-            // Each of the `threads` tasks is a drain loop: pop a
-            // component, waterfill it, repeat until the queue is closed
-            // and empty.
-            let task = |slot: usize, _task: usize| loop {
-                let job = {
-                    let mut st = queue.lock().expect("component queue poisoned");
-                    loop {
-                        if let Some(j) = st.0.pop_front() {
-                            break Some(j);
-                        }
-                        if st.1 {
-                            break None;
-                        }
-                        st = ready.wait(st).expect("component queue poisoned");
-                    }
-                };
-                let Some(mut job) = job else { return };
-                job.rates.clear();
-                job.rates.resize(job.positions.len(), 0.0);
-                let view = FlowDemandView {
-                    flows,
-                    paths,
-                    subset: &job.positions,
-                    arena,
-                };
-                let mut alloc = scratch[slot].lock().expect("worker scratch poisoned");
-                alloc.allocate_into(
-                    &view,
-                    |l| fabric.link_capacity(l) * overlay.scale(l),
-                    discipline,
-                    &mut job.rates,
-                );
-                let (touched, passes) = (alloc.last_touched_links(), alloc.last_waterfill_passes());
-                drop(alloc);
-                results.lock().expect("results poisoned").push(CompResult {
-                    index: job.index,
-                    positions: job.positions,
-                    rates: job.rates,
-                    touched,
-                    passes,
-                });
-            };
-            let mut bfs = ComponentBfs {
-                flows,
-                paths,
-                flow_pos: &self.flow_pos,
-                arena,
-                link_flows: &mut self.link_flows,
-                flow_mark: &mut self.flow_mark,
-                link_mark: &mut self.link_mark,
-                stack: &mut self.bfs_stack,
-            };
-            let (pos_pool, rate_pool, seeds) = (&pos_pool, &rate_pool, &seeds);
-            let produce = move || {
-                // Close the queue even if discovery unwinds — blocked
-                // workers must terminate for run_with to return.
-                let _close = CloseOnDrop { queue, ready };
-                let mut next = 0usize;
-                let mut emit = |positions: Vec<usize>| {
-                    let rates = rate_pool
-                        .lock()
-                        .expect("rate pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    let mut st = queue.lock().expect("component queue poisoned");
-                    st.0.push_back(CompJob {
-                        index: next,
-                        positions,
-                        rates,
-                    });
-                    next += 1;
-                    drop(st);
-                    ready.notify_one();
-                };
-                let take_buf = || {
-                    let mut b: Vec<usize> = pos_pool
-                        .lock()
-                        .expect("pos pool poisoned")
-                        .pop()
-                        .unwrap_or_default();
-                    b.clear();
-                    b
-                };
-                for &seed in seeds {
-                    if bfs.link_mark[seed] == epoch {
-                        continue; // joins a component already collected
-                    }
-                    bfs.link_mark[seed] = epoch;
-                    bfs.stack.push(seed);
-                    let mut out = take_buf();
-                    bfs.expand(epoch, &mut out);
-                    if out.is_empty() {
-                        pos_pool.lock().expect("pos pool poisoned").push(out);
-                        continue;
-                    }
-                    out.sort_unstable();
-                    emit(out);
-                }
-            };
-            let pool = self.pool.as_ref().expect("caller checked");
-            pool.run_with(self.threads, &task, produce);
-            if self.probe.on() {
-                self.probe.parallel_epochs += 1;
-            }
-        }
-        self.dirty.links = seeds;
-        self.dirty.links.clear();
-        // Assemble in discovery order: byte-identical to the batch path.
-        let mut results = results.into_inner().expect("results poisoned");
-        results.sort_unstable_by_key(|r| r.index);
-        self.component.clear();
-        self.comp_bounds.clear();
-        self.comp_bounds.push(0);
-        self.rate_buf.clear();
-        self.last_alloc_touched = 0;
-        self.last_alloc_passes = 0;
-        let mut pos_bufs = pos_pool.into_inner().expect("pos pool poisoned");
-        let mut rate_bufs = rate_pool.into_inner().expect("rate pool poisoned");
-        for r in results {
-            self.component.extend_from_slice(&r.positions);
-            self.rate_buf.extend_from_slice(&r.rates);
-            self.comp_bounds.push(self.component.len());
-            self.last_alloc_touched += r.touched;
-            self.last_alloc_passes += r.passes;
-            let (mut p, mut rt) = (r.positions, r.rates);
-            p.clear();
-            rt.clear();
-            pos_bufs.push(p);
-            rate_bufs.push(rt);
-        }
-        self.comp_pos_bufs = pos_bufs;
-        self.comp_rate_bufs = rate_bufs;
     }
 
     /// Starvation-watch bookkeeping: one flow of `cid` crossed the
@@ -3576,51 +3088,50 @@ mod tests {
     }
 
     #[test]
-    fn fanned_advance_matches_serial_with_link_stats() {
-        // More open flows than `PAR_MIN_ADVANCE_FLOWS` so the chunked
-        // advance sweep engages, with link stats on so the
-        // chunk-ordered per-link byte merge sits on the hot path; as
-        // completions drain the table below the threshold the serial
-        // sweep takes over, so one run crosses both variants. The
-        // fanned run must reproduce the serial `RunResult` — including
-        // `link_bytes` — byte for byte.
-        let hosts = 64;
-        let n = PAR_MIN_ADVANCE_FLOWS + 200;
-        let flows: Vec<FlowSpec> = (0..n)
-            .map(|i| {
-                let src = i % hosts;
-                let mut dst = (i * 7 + 1) % hosts;
-                if dst == src {
-                    dst = (dst + 1) % hosts;
-                }
-                let bytes = (1.0 + (i % 97) as f64 * 0.13) * MB;
-                FlowSpec::new(HostId(src), HostId(dst), bytes)
-            })
+    fn event_queue_pops_in_time_then_seq_order() {
+        // The one ordering rule of the event queue: earliest time
+        // first, equal times in push (`seq`) order.
+        let mut heap = BinaryHeap::new();
+        for (time, seq) in [(2.0, 0), (1.0, 4), (2.0, 1), (1.0, 2), (0.5, 5), (1.0, 3)] {
+            heap.push(Event {
+                time,
+                seq,
+                kind: EventKind::Tick,
+            });
+        }
+        let order: Vec<(f64, u64)> = std::iter::from_fn(|| heap.pop())
+            .map(|e| (e.time, e.seq))
             .collect();
-        let job = JobSpec::new(
-            0,
-            0.0,
-            vec![CoflowSpec::new(flows)],
-            JobDag::chain(1).unwrap(),
-        )
-        .unwrap();
-        let run = |threads: usize| {
-            let mut sim = Simulation::new(
-                BigSwitch::new(hosts, 1.0 * MB),
-                SimConfig {
-                    threads,
-                    collect_link_stats: true,
-                    ..SimConfig::default()
-                },
-            );
-            sim.run(vec![job.clone()], &mut FifoScheduler::new(1))
-        };
-        let serial = run(1);
-        let fanned = run(4);
-        assert!(!serial.link_bytes.is_empty(), "link stats were collected");
-        assert!(
-            serial == fanned,
-            "fanned advance diverged from the serial sweep"
+        assert_eq!(
+            order,
+            [(0.5, 5), (1.0, 2), (1.0, 3), (1.0, 4), (2.0, 0), (2.0, 1)]
+        );
+    }
+
+    #[test]
+    fn run_until_peeks_at_the_horizon_without_consuming() {
+        // `run_until` stops at the horizon by peeking: an event past it
+        // is neither processed nor removed.
+        let (fabric, config) = online_fixture();
+        let mut sched = FifoScheduler::new(1);
+        let mut plane = Centralized::new(&mut sched);
+        let mut engine =
+            Engine::online(&fabric, &config, &mut plane, &FaultSchedule::new()).unwrap();
+        for id in [1, 0] {
+            engine
+                .submit_job(single_flow_job(id, 5.0, id, id + 2, MB))
+                .unwrap();
+        }
+        assert_eq!(engine.run_until(4.999).unwrap(), StepOutcome::Idle);
+        assert_eq!(engine.events_processed(), 0);
+        assert_eq!(engine.pending_events(), 2);
+        assert_eq!(engine.now(), 0.0);
+        engine.run_until(5.0).unwrap();
+        assert_eq!(engine.events_processed(), 2, "both equal-time arrivals");
+        assert_eq!(engine.now(), 5.0);
+        assert_eq!(
+            engine.run_until(f64::INFINITY).unwrap(),
+            StepOutcome::Drained
         );
     }
 

@@ -4,11 +4,14 @@
 //! spawning (so failures produce backtraces, not exit codes).
 
 use gurita_daemon::client::Client;
+use gurita_daemon::protocol::{read_line, write_line, Request, Response, MAX_LINE_BYTES};
 use gurita_daemon::server::{serve, DaemonConfig, ServeReport};
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
 use gurita_workload::arrivals::ArrivalProcess;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
+use std::io::{BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -215,6 +218,37 @@ fn metrics_and_traces_flush_on_drain() {
     };
     assert!(top.iter().any(|(k, _)| k == "families"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hostile client: garbage and an over-long line each get an error
+/// reply on the same connection, which then still answers `stats`.
+#[test]
+fn malformed_and_over_long_lines_get_error_replies() {
+    let (socket, daemon, mut client) = start("hostile", SchedulerKind::Gurita, TEST_PACE);
+    let stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+
+    writer.write_all(b"not json\n").unwrap();
+    let resp: Response = read_line(&mut reader).unwrap().expect("garbage reply");
+    assert!(!resp.ok);
+    assert!(resp.error.unwrap().contains("bad line"));
+
+    let mut long = vec![b'x'; MAX_LINE_BYTES + 100];
+    long.push(b'\n');
+    writer.write_all(&long).unwrap();
+    drop(long);
+    let resp: Response = read_line(&mut reader).unwrap().expect("over-long reply");
+    assert!(!resp.ok);
+    assert!(resp.error.unwrap().contains("exceeds"));
+
+    write_line(&mut writer, &Request::bare("stats")).unwrap();
+    let resp: Response = read_line(&mut reader).unwrap().expect("stats reply");
+    assert!(resp.ok, "{:?}", resp.error);
+    assert!(resp.stats.is_some());
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
 }
 
 #[test]

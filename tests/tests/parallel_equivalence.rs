@@ -219,10 +219,9 @@ proptest! {
 
     /// Same contract with `force_full_recompute` on: every event now
     /// triggers a *full* pass, which since PR 9 flows through the same
-    /// per-component collection and fan-out as incremental epochs (the
-    /// pool fans components or streams the discovery BFS against the
-    /// waterfill). `collect_link_stats` rides along so the fanned
-    /// advance's chunk-ordered byte merge is pinned on the same runs.
+    /// per-component collection and fan-out as incremental epochs.
+    /// `collect_link_stats` rides along so the per-link byte counters
+    /// are pinned on the same runs.
     /// Crosses SPQ-based Gurita, the WRR ablation, and decentralized
     /// Gurita@local with mid-run faults — threads {2, 4, 8} must stay
     /// bit-for-bit equal to serial.
