@@ -17,7 +17,7 @@
 //!   reordering concern in the idealized setting).
 
 use crate::blocking::{coflow_blocking_effect, CoflowFacts};
-use crate::scheduler::GuritaConfig;
+use crate::scheduler::{stage_sums, GuritaConfig};
 use crate::thresholds::ThresholdLadder;
 use gurita_model::JobId;
 use gurita_sim::sched::{Observation, Oracle, QueuePolicy, Scheduler};
@@ -130,14 +130,9 @@ impl Scheduler for GuritaPlus {
             psis.push(coflow_blocking_effect(&facts, &self.config.blocking));
         }
         // Aggregate Ψ_J(s) exactly as the deployable scheduler does.
-        let mut stage_sum: HashMap<(JobId, usize), f64> = HashMap::new();
-        for (c, &psi) in obs.coflows.iter().zip(&psis) {
-            *stage_sum.entry((c.job, c.dag_stage)).or_insert(0.0) += psi;
-        }
-        obs.coflows
-            .iter()
-            .map(|c| self.ladder.queue_for(stage_sum[&(c.job, c.dag_stage)]))
-            .collect()
+        let mut psi_js = Vec::with_capacity(psis.len());
+        stage_sums(obs, &psis, &mut Vec::new(), &mut psi_js);
+        psi_js.iter().map(|&p| self.ladder.queue_for(p)).collect()
     }
 
     fn on_job_completed(&mut self, job: JobId, _now: f64) {

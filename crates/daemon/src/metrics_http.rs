@@ -16,7 +16,7 @@
 
 use gurita_metrics::encode::prometheus_text;
 use gurita_metrics::Registry as MetricsRegistry;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,13 +30,25 @@ const ACCEPT_WAIT: Duration = Duration::from_millis(20);
 /// handler thread.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Longest request or header line accepted, newline included.
+pub const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
+
+/// Longest request head (request line plus headers) accepted. A longer
+/// line or head gets `431` without being buffered.
+pub const MAX_HEAD_BYTES: usize = 32 * 1024;
+
+/// Input discarded after a `431` so the client reads the reply instead
+/// of a reset; past this the connection is simply closed.
+const MAX_DISCARD_BYTES: u64 = 1024 * 1024;
+
 /// Binds `addr` and serves Prometheus text-format scrapes of
 /// `metrics` until `stop` is raised. Returns the listener thread's
 /// handle and the bound address (useful with port 0); join the handle
 /// after raising `stop`.
 ///
 /// Routes: `GET /metrics` (and `GET /`) → 200 with exposition 0.0.4;
-/// anything else → 404.
+/// anything else → 404; a request head over [`MAX_HEAD_LINE_BYTES`]
+/// per line or [`MAX_HEAD_BYTES`] in total → 431.
 ///
 /// # Errors
 ///
@@ -73,16 +85,20 @@ fn handle_scrape(stream: TcpStream, metrics: &MetricsRegistry) -> io::Result<()>
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers until the blank line; their content is irrelevant.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-    }
+    let Some(request_line) = read_head(&mut reader)? else {
+        let mut out = stream;
+        respond(
+            &mut out,
+            "431 Request Header Fields Too Large",
+            "text/plain",
+            "request head too large\n",
+        )?;
+        // Let the reply land before closing: closing with unread input
+        // would reset the connection under the client.
+        out.shutdown(std::net::Shutdown::Write)?;
+        let _ = io::copy(&mut reader.take(MAX_DISCARD_BYTES), &mut io::sink());
+        return Ok(());
+    };
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -108,6 +124,31 @@ fn handle_scrape(stream: TcpStream, metrics: &MetricsRegistry) -> io::Result<()>
         )
     } else {
         respond(&mut out, "404 Not Found", "text/plain", "not found\n")
+    }
+}
+
+/// Reads the request head through its blank line and returns the
+/// request line (header content is irrelevant), or `None` once a line
+/// exceeds [`MAX_HEAD_LINE_BYTES`] or the head [`MAX_HEAD_BYTES`]. Each
+/// read is capped with [`Read::take`], so an oversized head is never
+/// buffered.
+fn read_head<R: BufRead>(reader: &mut R) -> io::Result<Option<String>> {
+    let mut request_line: Option<String> = None;
+    let mut line = Vec::new();
+    let mut budget = MAX_HEAD_BYTES;
+    loop {
+        line.clear();
+        let cap = MAX_HEAD_LINE_BYTES.min(budget);
+        let n = Read::take(&mut *reader, cap as u64).read_until(b'\n', &mut line)?;
+        if n == cap && !line.ends_with(b"\n") {
+            return Ok(None);
+        }
+        budget -= n;
+        let blank = line == b"\r\n" || line == b"\n";
+        if n == 0 || (blank && request_line.is_some()) {
+            return Ok(Some(request_line.unwrap_or_default()));
+        }
+        request_line.get_or_insert_with(|| String::from_utf8_lossy(&line).into_owned());
     }
 }
 

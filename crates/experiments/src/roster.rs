@@ -213,8 +213,8 @@ mod tests {
     }
 
     /// The runtime hands `queue_policy` an `Observation::default()`
-    /// (building a real one per recomputation would cost `O(flows)`),
-    /// so the `Scheduler` trait contract requires the returned policy
+    /// (control planes carry no observation to the policy query), so
+    /// the `Scheduler` trait contract requires the returned policy
     /// to be derived from `assign`-time state only. Drive two identical
     /// instances of every in-tree scheduler through the same `assign`,
     /// then ask one for its policy with an empty observation and the

@@ -1049,8 +1049,11 @@ impl ControlPlane for Decentralized {
     }
 
     fn on_coflow_completed(&mut self, coflow: CoflowId, job: JobId, now: f64) {
-        // Decision state lives in the head agent; per-host agents are
-        // stateless reporters in the shipped schemes.
+        // Only the head agent hears completions. Per-host fallback agents
+        // keep the decision state of every coflow they decided for (a
+        // Gurita agent's memo only grows), but their cost per decision
+        // stays logarithmic in it; forwarding the hooks would feed their
+        // critical-path estimators and change fallback decisions.
         self.head.on_coflow_completed(coflow, job, now);
     }
 

@@ -354,6 +354,14 @@ struct CoflowState {
     activated_at: f64,
     open_flows: usize,
     queue: usize,
+    /// Every open flow already carries the queue [`Engine::apply_table`]
+    /// would give it for `queue`, so re-applying an unchanged queue is a
+    /// no-op. Set by an `apply_table` pass over the coflow's flows;
+    /// cleared by [`Engine::apply_host_tables`], which writes per-host
+    /// queues. (Only those two write a flow's queue, and a coflow's
+    /// flows are all created, fresh, at activation; debug builds check
+    /// the no-op on every skip.)
+    settled: bool,
     total_bytes: f64,
     /// All flows of the coflow (open and completed); completed entries
     /// retain their final byte counts for receiver-side observation.
@@ -648,6 +656,53 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
+/// Resizes `v` to `n` entries, parking surplus entries in `spare` and
+/// reviving parked ones (their inner buffers intact) before minting new
+/// ones.
+fn resize_reusing<T: Default>(v: &mut Vec<T>, spare: &mut Vec<T>, n: usize) {
+    while v.len() > n {
+        spare.extend(v.pop());
+    }
+    while v.len() < n {
+        v.push(spare.pop().unwrap_or_default());
+    }
+}
+
+/// Fills `jobs` with one [`JobObs`] per job owning a coflow in
+/// `coflows`, ascending by job id, reusing the entries (and their
+/// `active_coflows` buffers) already in `jobs` and `spare`. `groups` is
+/// `(job, coflow index)` scratch: sorted, it lists each job's coflows in
+/// coflow order, so `bytes_received` sums replay the observation's
+/// coflow order bit for bit. One `jobs_state` lookup per job.
+fn fill_job_obs(
+    coflows: &[CoflowObs],
+    jobs_state: &HashMap<JobId, JobState>,
+    groups: &mut Vec<(JobId, usize)>,
+    jobs: &mut Vec<JobObs>,
+    spare: &mut Vec<JobObs>,
+) {
+    groups.clear();
+    groups.extend(coflows.iter().enumerate().map(|(ci, c)| (c.job, ci)));
+    groups.sort_unstable();
+    let num_jobs = groups.chunk_by(|a, b| a.0 == b.0).count();
+    resize_reusing(jobs, spare, num_jobs);
+    for (group, j) in groups.chunk_by(|a, b| a.0 == b.0).zip(jobs.iter_mut()) {
+        let id = group[0].0;
+        let js = &jobs_state[&id];
+        j.id = id;
+        j.arrival = js.arrival;
+        j.completed_coflows = js.completed_coflows;
+        j.completed_stages = js.completed_stages;
+        j.completed_bytes = js.completed_bytes;
+        j.bytes_received = js.completed_bytes;
+        j.active_coflows.clear();
+        for &(_, ci) in group {
+            j.bytes_received += coflows[ci].bytes_received;
+            j.active_coflows.push(ci);
+        }
+    }
+}
+
 /// Dense flow-id → flow-table position map. Flow ids are handed out
 /// densely by `Engine::next_flow_id`, so indexed slots beat a hash map
 /// on the hot lookups (completion validation, dirty-component walks,
@@ -794,9 +849,21 @@ pub struct Engine<'a, F: Fabric> {
     next_flow_id: usize,
     next_coflow_id: usize,
 
-    coflows: HashMap<CoflowId, CoflowState>,
-    active_coflows: Vec<CoflowId>,
+    /// Active coflows in ascending id order. Ids come from the monotone
+    /// `next_coflow_id`, so activation appends and lookups
+    /// binary-search (see [`Engine::coflow_index`]).
+    coflows: Vec<CoflowState>,
     jobs_state: HashMap<JobId, JobState>,
+    /// The observation handed to the control plane, refilled in place
+    /// at each decision point (see [`Engine::build_observation`]).
+    obs: Observation,
+    /// Observation entries beyond the current active set, parked with
+    /// their `flows` / `active_coflows` buffers for reuse.
+    spare_coflow_obs: Vec<CoflowObs>,
+    spare_job_obs: Vec<JobObs>,
+    /// `(job, coflow index)` pairs grouping the observation's coflows by
+    /// job (scratch).
+    job_groups: Vec<(JobId, usize)>,
 
     completion_generation: u64,
     dirty: DirtyRates,
@@ -972,9 +1039,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
             flow_pos: FlowPosMap::default(),
             next_flow_id: 0,
             next_coflow_id: 0,
-            coflows: HashMap::new(),
-            active_coflows: Vec::new(),
+            coflows: Vec::new(),
             jobs_state: HashMap::new(),
+            obs: Observation::default(),
+            spare_coflow_obs: Vec::new(),
+            spare_job_obs: Vec::new(),
+            job_groups: Vec::new(),
             completion_generation: 0,
             dirty: DirtyRates::default(),
             tick_pending: false,
@@ -1362,15 +1432,13 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// completed, or already cancelled.
     pub fn cancel_job(&mut self, id: JobId) -> bool {
         if self.jobs_state.contains_key(&id) {
-            let cids: Vec<CoflowId> = self
-                .active_coflows
-                .iter()
-                .copied()
-                .filter(|c| self.coflows[c].job == id)
-                .collect();
-            for cid in cids {
-                let state = self.coflows.remove(&cid).expect("active coflow");
-                self.active_coflows.retain(|&c| c != cid);
+            let mut i = 0;
+            while i < self.coflows.len() {
+                if self.coflows[i].job != id {
+                    i += 1;
+                    continue;
+                }
+                let state = self.coflows.remove(i);
                 for rec in &state.flows {
                     if !rec.open {
                         continue;
@@ -1382,8 +1450,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     // tombstone via `flow_pos`.
                     self.remove_flow(pos);
                 }
+                // Retire the plane's per-coflow state exactly as a
+                // completion would.
+                self.plane.on_coflow_completed(state.id, id, self.now);
             }
             self.jobs_state.remove(&id);
+            self.plane.on_job_completed(id, self.now);
             self.specs.remove(&id);
             self.cancelled.insert(id);
             self.remaining_jobs -= 1;
@@ -1424,7 +1496,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
 
     /// Coflows currently active.
     pub fn open_coflows(&self) -> usize {
-        self.active_coflows.len()
+        self.coflows.len()
     }
 
     /// Jobs submitted but not yet completed or cancelled.
@@ -1468,11 +1540,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             return JobPhase::Pending;
         }
         JobPhase::NotSubmitted
-    }
-
-    /// Delivered bytes of the open flow at table position `pos`.
-    fn bytes_done(&self, pos: usize) -> f64 {
-        self.flows[pos].size - self.hot.remaining[pos]
     }
 
     /// Advances every flow's remaining volume to virtual time `t` at its
@@ -1562,6 +1629,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             activated_at: self.now,
             open_flows: 0,
             queue: 0,
+            settled: false,
             total_bytes: cf_spec.total_bytes(),
             flows: Vec::with_capacity(cf_spec.width()),
             flowing: 0,
@@ -1668,8 +1736,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 bytes: state.total_bytes,
             });
         }
-        self.coflows.insert(id, state);
-        self.active_coflows.push(id);
+        self.coflows.push(state);
         self.dirty.any = true;
         Ok(())
     }
@@ -1750,7 +1817,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             self.dirty.mark_path(self.arena.get(path));
             self.index_flow(pos, true);
             rec.rerouted += 1;
-            let job = self.coflows[&self.hot.coflow[pos]].job;
+            let job = self.coflow(self.hot.coflow[pos]).job;
             self.jobs_state
                 .get_mut(&job)
                 .expect("job active")
@@ -1770,7 +1837,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             f.stamp = stamp; // invalidate any completion-index entry
             let fid = f.id;
             rec.parked += 1;
-            let job = self.coflows[&coflow].job;
+            let job = self.coflow(coflow).job;
             self.jobs_state
                 .get_mut(&job)
                 .expect("job active")
@@ -1828,7 +1895,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     self.hot.path[pos] = path;
                     rec.rerouted += 1;
                     let coflow = self.hot.coflow[pos];
-                    let job = self.coflows[&coflow].job;
+                    let job = self.coflow(coflow).job;
                     self.jobs_state
                         .get_mut(&job)
                         .expect("job active")
@@ -1892,10 +1959,10 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 .collect();
             // Also: newly activated coflows may be empty (no flows).
             let empty_coflows: Vec<CoflowId> = self
-                .active_coflows
+                .coflows
                 .iter()
-                .copied()
-                .filter(|c| self.coflows[c].flows.is_empty())
+                .filter(|c| c.flows.is_empty())
+                .map(|c| c.id)
                 .collect();
             if completed_flow_ids.is_empty() && empty_coflows.is_empty() {
                 return Ok(());
@@ -1910,7 +1977,8 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     self.hot.coflow[pos],
                 );
                 self.remove_flow(pos);
-                let cf = self.coflows.get_mut(&coflow).expect("flow's coflow active");
+                let ci = self.coflow_index(coflow).expect("flow's coflow active");
+                let cf = &mut self.coflows[ci];
                 let rec = cf
                     .flows
                     .iter_mut()
@@ -1950,8 +2018,8 @@ impl<'a, F: Fabric> Engine<'a, F> {
     }
 
     fn complete_coflow(&mut self, cid: CoflowId) -> Result<(), SimError> {
-        let mut state = self.coflows.remove(&cid).expect("completing active coflow");
-        self.active_coflows.retain(|&c| c != cid);
+        let ci = self.coflow_index(cid).expect("completing active coflow");
+        let mut state = self.coflows.remove(ci);
         // Close any open starvation interval at completion time. Coflows
         // that never received bandwidth (empty, host-local, or finished
         // while parked) carry their whole lifetime here.
@@ -2049,67 +2117,75 @@ impl<'a, F: Fabric> Engine<'a, F> {
         Ok(())
     }
 
-    fn build_observation(&self) -> Observation {
-        let mut coflows = Vec::with_capacity(self.active_coflows.len());
-        let mut job_index: HashMap<JobId, usize> = HashMap::new();
-        let mut jobs: Vec<JobObs> = Vec::new();
-        for (ci, cid) in self.active_coflows.iter().enumerate() {
-            let cf = &self.coflows[cid];
-            let mut flows = Vec::with_capacity(cf.flows.len());
+    /// Position of active coflow `cid` in the ascending table.
+    fn coflow_index(&self, cid: CoflowId) -> Option<usize> {
+        self.coflows.binary_search_by_key(&cid, |c| c.id).ok()
+    }
+
+    /// The active coflow `cid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cid` is not active.
+    fn coflow(&self, cid: CoflowId) -> &CoflowState {
+        &self.coflows[self.coflow_index(cid).expect("coflow active")]
+    }
+
+    /// [`Engine::coflow_index`] for table walks: `hint` is where the
+    /// caller's previous entry matched plus one, so a table ascending
+    /// like the coflow table resolves each entry in O(1).
+    fn coflow_index_from(&self, cid: CoflowId, hint: usize) -> Option<usize> {
+        match self.coflows.get(hint) {
+            Some(c) if c.id == cid => Some(hint),
+            _ => self.coflow_index(cid),
+        }
+    }
+
+    /// Refills [`Engine::obs`] for the current decision point, reusing
+    /// every buffer of the previous one.
+    fn build_observation(&mut self) {
+        let obs = &mut self.obs;
+        obs.now = self.now;
+        resize_reusing(
+            &mut obs.coflows,
+            &mut self.spare_coflow_obs,
+            self.coflows.len(),
+        );
+        for (cf, c) in self.coflows.iter().zip(&mut obs.coflows) {
+            c.flows.clear();
             let mut bytes = 0.0f64;
             let mut max_flow = 0.0f64;
             for rec in &cf.flows {
                 let done = if rec.open {
                     let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
-                    self.bytes_done(pos)
+                    self.flows[pos].size - self.hot.remaining[pos]
                 } else {
                     rec.bytes_done
                 };
                 bytes += done;
                 max_flow = max_flow.max(done);
-                flows.push(FlowObs {
+                c.flows.push(FlowObs {
                     id: rec.id,
                     bytes_received: done,
                     open: rec.open,
                 });
             }
-            coflows.push(CoflowObs {
-                id: cf.id,
-                job: cf.job,
-                dag_vertex: cf.dag_vertex,
-                dag_stage: cf.dag_stage,
-                activated_at: cf.activated_at,
-                open_flows: cf.open_flows,
-                bytes_received: bytes,
-                max_flow_bytes_received: max_flow,
-                flows,
-            });
-            let job_id = cf.job;
-            let j = *job_index.entry(job_id).or_insert_with(|| {
-                let js = &self.jobs_state[&job_id];
-                jobs.push(JobObs {
-                    id: job_id,
-                    arrival: js.arrival,
-                    completed_coflows: js.completed_coflows,
-                    completed_stages: js.completed_stages,
-                    bytes_received: js.completed_bytes,
-                    completed_bytes: js.completed_bytes,
-                    active_coflows: Vec::new(),
-                });
-                jobs.len() - 1
-            });
-            jobs[j].bytes_received += bytes;
-            jobs[j].active_coflows.push(ci);
+            c.id = cf.id;
+            c.job = cf.job;
+            c.dag_vertex = cf.dag_vertex;
+            c.dag_stage = cf.dag_stage;
+            c.activated_at = cf.activated_at;
+            c.open_flows = cf.open_flows;
+            c.bytes_received = bytes;
+            c.max_flow_bytes_received = max_flow;
         }
-        // Ascending-id order is an `Observation` invariant (binary
-        // search in `Observation::job`); the accumulation above runs in
-        // coflow order, so sorting afterwards changes no values.
-        jobs.sort_unstable_by_key(|j| j.id);
-        Observation {
-            now: self.now,
-            coflows,
-            jobs,
-        }
+        fill_job_obs(
+            &obs.coflows,
+            &self.jobs_state,
+            &mut self.job_groups,
+            &mut obs.jobs,
+            &mut self.spare_job_obs,
+        );
     }
 
     /// Splits the cluster state into per-host views: each sender host
@@ -2117,15 +2193,14 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// orders (coflows ascending by id, flows in creation order) so
     /// [`crate::control::merge_reports`] can reassemble the centralized
     /// observation exactly.
-    fn build_local_views(&self) -> Vec<LocalObservation> {
+    fn build_local_views(&mut self) -> Vec<LocalObservation> {
         let mut host_slot: HashMap<HostId, usize> = HashMap::new();
         let mut views: Vec<LocalObservation> = Vec::new();
-        for cid in &self.active_coflows {
-            let cf = &self.coflows[cid];
+        for cf in &self.coflows {
             for rec in &cf.flows {
                 let done = if rec.open {
                     let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
-                    self.bytes_done(pos)
+                    self.flows[pos].size - self.hot.remaining[pos]
                 } else {
                     rec.bytes_done
                 };
@@ -2166,32 +2241,19 @@ impl<'a, F: Fabric> Engine<'a, F> {
             }
         }
         for view in &mut views {
-            let mut job_index: HashMap<JobId, usize> = HashMap::new();
-            for ci in 0..view.coflows.len() {
-                let (job_id, bytes) = (view.coflows[ci].job, view.coflows[ci].bytes_received);
-                let j = *job_index.entry(job_id).or_insert_with(|| {
-                    let js = &self.jobs_state[&job_id];
-                    view.jobs.push(JobObs {
-                        id: job_id,
-                        arrival: js.arrival,
-                        completed_coflows: js.completed_coflows,
-                        completed_stages: js.completed_stages,
-                        bytes_received: js.completed_bytes,
-                        completed_bytes: js.completed_bytes,
-                        active_coflows: Vec::new(),
-                    });
-                    view.jobs.len() - 1
-                });
-                view.jobs[j].bytes_received += bytes;
-                view.jobs[j].active_coflows.push(ci);
-            }
-            view.jobs.sort_unstable_by_key(|j| j.id);
+            fill_job_obs(
+                &view.coflows,
+                &self.jobs_state,
+                &mut self.job_groups,
+                &mut view.jobs,
+                &mut Vec::new(),
+            );
         }
         views
     }
 
     fn reassign_priorities(&mut self) {
-        if self.active_coflows.is_empty() {
+        if self.coflows.is_empty() {
             return;
         }
         let output = if self.plane.needs_local_views() {
@@ -2202,12 +2264,12 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 views,
             })
         } else {
-            let obs = self.build_observation();
+            self.build_observation();
             let remaining = |fid: FlowId| self.flow_pos.get(fid).map(|pos| self.hot.remaining[pos]);
             let flow_size = |fid: FlowId| self.flow_pos.get(fid).map(|pos| self.flows[pos].size);
             let oracle = Oracle::new(&self.specs, &remaining, &flow_size);
             self.plane.decide(ControlInput::Global {
-                obs: &obs,
+                obs: &self.obs,
                 oracle: &oracle,
             })
         };
@@ -2254,14 +2316,17 @@ impl<'a, F: Fabric> Engine<'a, F> {
     fn apply_table(&mut self, table: &[(CoflowId, usize)]) {
         let nq = self.plane.num_queues();
         let relax = self.plane.reprioritizes_live_flows();
+        let mut hint = 0;
         for &(cid, queue) in table {
             assert!(
                 queue < nq,
                 "assigned queue {queue} out of range ({nq} queues)"
             );
-            let Some(cf) = self.coflows.get_mut(&cid) else {
+            let Some(ci) = self.coflow_index_from(cid, hint) else {
                 continue; // completed before the table was delivered
             };
+            hint = ci + 1;
+            let cf = &mut self.coflows[ci];
             let old_queue = cf.queue;
             cf.queue = queue;
             if old_queue != queue && self.probe.on() {
@@ -2272,6 +2337,17 @@ impl<'a, F: Fabric> Engine<'a, F> {
                     to: queue,
                 });
             }
+            if cf.settled && old_queue == queue {
+                debug_assert!(
+                    cf.flows.iter().filter(|r| r.open).all(|r| {
+                        let f = &self.flows[self.flow_pos.get(r.id).expect("open flow indexed")];
+                        !f.fresh && (f.queue == queue || (!relax && f.queue > queue))
+                    }),
+                    "a settled coflow's open flows already carry its queue"
+                );
+                continue;
+            }
+            cf.settled = true;
             for rec in cf.flows.iter().filter(|r| r.open) {
                 let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
                 let f = &mut self.flows[pos];
@@ -2309,14 +2385,18 @@ impl<'a, F: Fabric> Engine<'a, F> {
         let nq = self.plane.num_queues();
         let relax = self.plane.reprioritizes_live_flows();
         for (host, table) in tables {
+            let mut hint = 0;
             for &(cid, queue) in table {
                 assert!(
                     queue < nq,
                     "assigned queue {queue} out of range ({nq} queues)"
                 );
-                let Some(cf) = self.coflows.get_mut(&cid) else {
+                let Some(ci) = self.coflow_index_from(cid, hint) else {
                     continue; // completed before the table landed
                 };
+                hint = ci + 1;
+                let cf = &mut self.coflows[ci];
+                cf.settled = false;
                 for rec in cf.flows.iter().filter(|r| r.open && r.src == *host) {
                     let pos = self.flow_pos.get(rec.id).expect("open flow indexed");
                     let f = &mut self.flows[pos];
@@ -2885,9 +2965,10 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// Runs unconditionally — the starvation fields in
     /// [`CoflowResult`] never depend on whether telemetry is armed.
     fn coflow_rate_transition(&mut self, cid: CoflowId, gained: bool) {
-        let Some(cf) = self.coflows.get_mut(&cid) else {
+        let Some(ci) = self.coflow_index(cid) else {
             return; // completed in this same instant; interval already closed
         };
+        let cf = &mut self.coflows[ci];
         if gained {
             cf.flowing += 1;
             if cf.flowing == 1 {
@@ -2972,12 +3053,9 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
         let links_busy = link_rate.len();
         let starved_coflows = self
-            .active_coflows
+            .coflows
             .iter()
-            .filter(|cid| {
-                let cf = &self.coflows[cid];
-                cf.open_flows > 0 && cf.flowing == 0
-            })
+            .filter(|cf| cf.open_flows > 0 && cf.flowing == 0)
             .count();
         EpochSample {
             t: self.now,
@@ -2985,7 +3063,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             event_queue_depth: self.queue.len(),
             active_flows: self.flows.len(),
             parked_flows,
-            active_coflows: self.active_coflows.len(),
+            active_coflows: self.coflows.len(),
             starved_coflows,
             queue_occupancy,
             queue_service_share,

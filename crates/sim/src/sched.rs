@@ -44,7 +44,7 @@ pub struct FlowObs {
 }
 
 /// Receiver-side view of one active coflow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CoflowObs {
     /// The coflow's identifier.
     pub id: CoflowId,
@@ -81,7 +81,7 @@ impl CoflowObs {
 }
 
 /// Receiver-side view of one job with at least one active coflow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobObs {
     /// The job's identifier.
     pub id: JobId,
@@ -272,8 +272,12 @@ pub trait Scheduler {
     ///
     /// The runtime calls this once per rate recomputation, *after*
     /// [`Scheduler::assign`] for the same decision point — and passes
-    /// `Observation::default()`, i.e. an **empty** observation (building
-    /// a real one on the hot path would cost `O(flows)` per event).
+    /// `Observation::default()`, i.e. an **empty** observation. The
+    /// policy belongs to the scheme's decision state, not to a cluster
+    /// view: a decentralized head agent decides from a merged,
+    /// possibly stale view the engine never holds, so
+    /// [`ControlPlane::queue_policy`](crate::control::ControlPlane::queue_policy)
+    /// carries no observation at all.
     /// Implementations MUST NOT read `obs` here: derive weights from
     /// state accumulated during `assign`. Equivalently, the returned
     /// policy must be identical for any two observations between the

@@ -4,13 +4,14 @@
 //! spawning (so failures produce backtraces, not exit codes).
 
 use gurita_daemon::client::Client;
+use gurita_daemon::metrics_http::{serve_metrics_http, MAX_HEAD_BYTES, MAX_HEAD_LINE_BYTES};
 use gurita_daemon::protocol::{read_line, write_line, Request, Response, MAX_LINE_BYTES};
 use gurita_daemon::server::{serve, DaemonConfig, ServeReport};
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
 use gurita_workload::arrivals::ArrivalProcess;
 use gurita_workload::generator::{JobGenerator, WorkloadConfig};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -249,6 +250,53 @@ fn malformed_and_over_long_lines_get_error_replies() {
 
     client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
+}
+
+/// A hostile scraper: an over-long header line and an oversized head
+/// each get `431` without the listener buffering them, and a normal
+/// scrape still gets `200` afterwards.
+#[test]
+fn oversized_metrics_request_heads_get_431() {
+    let metrics = std::sync::Arc::new(gurita_metrics::Registry::new());
+    metrics
+        .counter("gurita_events_total", "Events.", &[])
+        .add(3);
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (handle, addr) = serve_metrics_http(
+        "127.0.0.1:0",
+        std::sync::Arc::clone(&metrics),
+        std::sync::Arc::clone(&stop),
+    )
+    .expect("bind metrics listener");
+    let exchange = |request: &[u8]| {
+        let mut s = std::net::TcpStream::connect(addr).expect("connect");
+        s.write_all(request).expect("write request");
+        let mut reply = String::new();
+        s.read_to_string(&mut reply).expect("read reply");
+        reply
+    };
+
+    let long_line = format!(
+        "GET /metrics HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+        "a".repeat(MAX_HEAD_LINE_BYTES)
+    );
+    let reply = exchange(long_line.as_bytes());
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+
+    let header = format!("X-Pad: {}\r\n", "b".repeat(1000));
+    let many = format!(
+        "GET /metrics HTTP/1.1\r\n{}\r\n",
+        header.repeat(MAX_HEAD_BYTES / header.len() + 1)
+    );
+    let reply = exchange(many.as_bytes());
+    assert!(reply.starts_with("HTTP/1.1 431 "), "{reply}");
+
+    let reply = exchange(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+    assert!(reply.contains("gurita_events_total 3\n"));
+
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("join metrics listener");
 }
 
 #[test]

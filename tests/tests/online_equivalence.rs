@@ -14,10 +14,12 @@
 //! the dirty-component set exactly like a t=0 arrival, so every
 //! downstream recompute sees identical inputs in an identical order.
 
+use gurita::scheduler::{GuritaConfig, GuritaScheduler};
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{HostId, JobSpec};
+use gurita_sim::control::Centralized;
 use gurita_sim::faults::{AgentCrash, ControlFaults, FaultSchedule, PartitionWindow};
-use gurita_sim::runtime::{Engine, SimConfig, Simulation};
+use gurita_sim::runtime::{Engine, JobPhase, SimConfig, Simulation};
 use gurita_sim::stats::RunResult;
 use gurita_sim::topology::BigSwitch;
 use gurita_workload::dags::StructureKind;
@@ -181,4 +183,42 @@ fn mid_run_admission_survives_control_faults() {
     assert_eq!(result.control.agent_crashes, 1);
     assert_eq!(result.control.partitions, 1);
     assert!(result.control.messages_sent > 0);
+}
+
+/// Cancelling running jobs retires their control-plane state exactly as
+/// completion does: after mid-flight cancels and a drain, Gurita holds
+/// no per-coflow decision memo and no per-job critical-path estimator.
+#[test]
+fn cancelled_jobs_leave_no_scheduler_state() {
+    let jobs = workload(16, 5);
+    let config = sim_config(0.0, 1, None);
+    let mut plane = Centralized::new(GuritaScheduler::new(GuritaConfig::default()));
+    let fabric = fabric();
+    let schedule = FaultSchedule::new();
+    let mut engine = Engine::online(&fabric, &config, &mut plane, &schedule)
+        .expect("online engine construction failed");
+    for job in &jobs {
+        engine.submit_job(job.clone()).expect("admission failed");
+    }
+    let mut cancelled = 0;
+    for _ in 0..4 {
+        engine.run_for(25).expect("run_for failed");
+        let running = jobs.iter().map(|j| j.id()).find(|&id| {
+            matches!(engine.job_phase(id), JobPhase::Running { progress } if progress.completed_coflows > 0)
+        });
+        if let Some(id) = running {
+            assert!(engine.cancel_job(id));
+            cancelled += 1;
+        }
+    }
+    engine.run_to_drained().expect("drain failed");
+    let result = engine.finish();
+    assert!(
+        cancelled > 0,
+        "the workload must offer running jobs to cancel"
+    );
+    assert_eq!(result.jobs_cancelled, cancelled);
+    assert_eq!(result.jobs.len() + cancelled, jobs.len());
+    assert_eq!(plane.inner().tracked_coflows(), 0, "per-coflow memo leaked");
+    assert_eq!(plane.inner().tracked_jobs(), 0, "per-job estimator leaked");
 }
