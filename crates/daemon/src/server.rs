@@ -5,7 +5,8 @@
 //! [`serve`] owns the fabric, configuration, control plane, and
 //! [`Engine`] on its own stack frame — the engine borrows all three, so
 //! nothing crosses a thread boundary. Socket handling runs on side
-//! threads (one acceptor plus one handler per connection) that translate
+//! threads (one acceptor plus one handler per connection, at most
+//! [`MAX_CONNECTIONS`] at a time) that translate
 //! protocol lines into `Cmd` values over an mpsc channel; each command
 //! carries its own reply sender. The serve loop alternates between
 //! draining commands and stepping the engine, so a `queue` request is
@@ -40,7 +41,7 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -49,6 +50,12 @@ use std::time::{Duration, Instant};
 /// re-checks the command channel. Large enough to amortize the channel
 /// poll, small enough that a `gctl` query never waits noticeably.
 const ASAP_SLICE: u64 = 512;
+
+/// Connections served at once. Each one holds a handler thread, so the
+/// acceptor answers any connection beyond the cap with one `too many
+/// connections` error line and closes it. Clients hold one or two
+/// connections each (`gctl`, `online_arrivals`, the benchmark session).
+pub const MAX_CONNECTIONS: usize = 32;
 
 /// How long the serve loop sleeps on the command channel when the
 /// engine has nothing to do (or is ahead of the pacing horizon).
@@ -358,12 +365,32 @@ fn sim_to_io(e: SimError) -> io::Error {
     io::Error::other(format!("engine: {e}"))
 }
 
+/// One of the [`MAX_CONNECTIONS`] handler slots; released when the
+/// handler thread exits, however it exits.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: UnixListener, tx: mpsc::Sender<Cmd>, stop: Arc<AtomicBool>) {
+    // Only this thread takes slots, so checking then taking cannot
+    // overshoot the cap.
+    let open = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
+                if open.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    let _ = write_line(&mut stream, &Response::err("too many connections"));
+                    continue;
+                }
+                open.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnSlot(Arc::clone(&open));
                 let tx = tx.clone();
                 std::thread::spawn(move || {
+                    let _slot = slot;
                     let _ = handle_connection(stream, tx);
                 });
             }

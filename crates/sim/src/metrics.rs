@@ -121,6 +121,7 @@ pub struct MetricsSink {
     starved_coflows: Arc<Gauge>,
     alloc_full_passes: Arc<Gauge>,
     alloc_incremental_passes: Arc<Gauge>,
+    alloc_reweighted_passes: Arc<Gauge>,
     alloc_parallel_epochs: Arc<Gauge>,
     alloc_component_flows: Arc<Gauge>,
     alloc_touched_links: Arc<Gauge>,
@@ -244,6 +245,10 @@ impl MetricsSink {
                 "gurita_alloc_incremental_passes",
                 "Cumulative incremental recomputations: dirty-component and WRR-reweighted passes.",
             ),
+            alloc_reweighted_passes: g(
+                "gurita_alloc_reweighted_passes",
+                "Cumulative WRR-reweighted recomputations (a subset of the incremental ones).",
+            ),
             alloc_parallel_epochs: g(
                 "gurita_alloc_parallel_epochs",
                 "Cumulative recompute epochs fanned across the worker pool.",
@@ -336,6 +341,8 @@ impl TelemetrySink for MetricsSink {
                 self.alloc_full_passes.set(s.alloc_full_passes as f64);
                 self.alloc_incremental_passes
                     .set(s.alloc_incremental_passes as f64);
+                self.alloc_reweighted_passes
+                    .set(s.alloc_reweighted_passes as f64);
                 self.alloc_parallel_epochs
                     .set(s.alloc_parallel_epochs as f64);
                 self.alloc_component_flows
@@ -498,6 +505,7 @@ mod tests {
             active_flows: 10,
             alloc_full_passes: 3,
             alloc_incremental_passes: 9,
+            alloc_reweighted_passes: 7,
             ..Default::default()
         };
         sink.record(&TraceRecord::Epoch(s));
@@ -507,5 +515,6 @@ mod tests {
         assert_eq!(get("gurita_active_flows"), 10.0);
         assert_eq!(get("gurita_alloc_full_passes"), 3.0);
         assert_eq!(get("gurita_alloc_incremental_passes"), 9.0);
+        assert_eq!(get("gurita_alloc_reweighted_passes"), 7.0);
     }
 }

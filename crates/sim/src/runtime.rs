@@ -913,23 +913,14 @@ pub struct Engine<'a, F: Fabric> {
     /// collected during the union sweep so the numbering and scatter
     /// sweeps skip parked entries without touching cold flow state.
     uf_live: Vec<u32>,
-    /// Topology generation: bumped whenever the component structure's
-    /// inputs change — a flow enters or leaves the table (positions
-    /// shift on `swap_remove`), parks or resumes, or reroutes to a new
-    /// path. Discipline changes and capacity overlays do NOT bump it:
-    /// they change rates, never which flows share links.
-    topo_gen: u64,
-    /// `topo_gen` the cached full partition below was computed at;
-    /// `u64::MAX` = no cached partition.
-    full_gen: u64,
-    /// Cached full-pass partition members (see
-    /// [`Engine::collect_full_components`]): flagship Gurita shifts WRR
-    /// weights with queue loads, so back-to-back reweighted passes over
-    /// an unchanged topology are the common case and filter this
-    /// instead of re-running the union-find sweeps.
-    full_comp: Vec<usize>,
-    /// Cached full-pass partition bounds (pairs with `full_comp`).
-    full_bounds: Vec<usize>,
+    /// One link per component whose flows sat in ≥2 queues when it was
+    /// last collected — the extra seeds of a reweighted pass (see
+    /// [`Engine::recompute_rates`]). Every collection re-lists the
+    /// components it reached and keeps the entries it did not reach:
+    /// any event that changes a component's members or a member's queue
+    /// marks that flow's path dirty, so an unreached component is
+    /// exactly as it was when listed.
+    mixed_links: Vec<usize>,
     /// Flow positions under recomputation, grouped by connected
     /// component: component `c` is `component[comp_bounds[c] ..
     /// comp_bounds[c + 1]]`, each group sorted ascending (scratch).
@@ -1067,10 +1058,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             link_owner: vec![0; fabric.num_links()],
             uf_counts: Vec::new(),
             uf_live: Vec::new(),
-            topo_gen: 0,
-            full_gen: u64::MAX,
-            full_comp: Vec::new(),
-            full_bounds: Vec::new(),
+            mixed_links: Vec::new(),
             component: Vec::new(),
             comp_bounds: Vec::new(),
             rate_buf: Vec::new(),
@@ -1699,7 +1687,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             self.flow_pos.insert(fid, pos);
             self.flows.push(flow);
             self.hot.push(0.0, fs.bytes, path, id);
-            self.topo_gen += 1;
             if !parked {
                 // One pass over the interned slice both seeds the dirty
                 // set and indexes the flow under its links.
@@ -1813,7 +1800,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             let old = self.hot.path[pos];
             self.dirty.mark_path(self.arena.get(old));
             self.hot.path[pos] = path;
-            self.topo_gen += 1;
             self.dirty.mark_path(self.arena.get(path));
             self.index_flow(pos, true);
             rec.rerouted += 1;
@@ -1833,7 +1819,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
             let coflow = self.hot.coflow[pos];
             let f = &mut self.flows[pos];
             f.parked = true;
-            self.topo_gen += 1;
             f.stamp = stamp; // invalidate any completion-index entry
             let fid = f.id;
             rec.parked += 1;
@@ -1889,7 +1874,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
         for (pos, new_path) in resumes {
             {
                 self.flows[pos].parked = false;
-                self.topo_gen += 1;
                 rec.resumed += 1;
                 if let Some(path) = new_path {
                     self.hot.path[pos] = path;
@@ -2430,7 +2414,6 @@ impl<'a, F: Fabric> Engine<'a, F> {
     fn remove_flow(&mut self, pos: usize) {
         self.flows.swap_remove(pos);
         let path = self.hot.swap_remove(pos);
-        self.topo_gen += 1;
         self.dirty.mark_path(self.arena.get(path));
         if let Some(moved) = self.flows.get(pos) {
             self.flow_pos.insert(moved.id, pos);
@@ -2463,8 +2446,14 @@ impl<'a, F: Fabric> Engine<'a, F> {
     /// `comp_bounds` come back *grouped by connected component* (in
     /// deterministic seed-discovery order, each group sorted ascending
     /// by flow-table position) — the unit of both per-component
-    /// waterfilling and intra-run parallelism. Side effect: compacts
-    /// stale `link_flows` entries it walks over.
+    /// waterfilling and intra-run parallelism. Reweighted passes append
+    /// [`Engine::mixed_links`] to the seeds first (see
+    /// [`Engine::recompute_rates`]).
+    ///
+    /// Side effects: compacts stale `link_flows` entries it walks over,
+    /// and refreshes `mixed_links` — entries whose link the BFS reached
+    /// are replaced by the reached components' own classification,
+    /// entries it did not reach are kept as they are.
     fn collect_component(&mut self) {
         self.component.clear();
         self.comp_bounds.clear();
@@ -2516,65 +2505,53 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
         self.dirty.links = seeds;
         self.dirty.links.clear();
+        // Every link the BFS reached carries no live flow or lies in a
+        // component collected above, which `list_mixed_components`
+        // re-lists if it is still mixed.
+        let link_mark = &self.link_mark;
+        self.mixed_links.retain(|&li| link_mark[li] != epoch);
+        self.list_mixed_components();
+    }
+
+    /// Appends one link of every component in `component` /
+    /// `comp_bounds` whose members sit in ≥2 queues to
+    /// [`Engine::mixed_links`]. A mixed component has ≥2 members sharing
+    /// a link, so each member's path is non-empty.
+    fn list_mixed_components(&mut self) {
+        for c in 1..self.comp_bounds.len() {
+            let members = &self.component[self.comp_bounds[c - 1]..self.comp_bounds[c]];
+            let queue = self.flows[members[0]].queue;
+            if members.iter().any(|&pos| self.flows[pos].queue != queue) {
+                let path = self.arena.get(self.hot.path[members[0]]);
+                self.mixed_links.push(path[0].index());
+            }
+        }
     }
 
     /// Full-pass variant of [`Engine::collect_component`]: every
-    /// unparked flow joins some component, grouped with the *same
-    /// canonical structure* an incremental pass would discover —
-    /// components ordered by their lowest member position, each group's
-    /// members ascending — so per-component waterfill order is
-    /// canonical regardless of how the pass was triggered, full passes
-    /// reuse the component fan-out, and forced-full runs match
+    /// unparked flow joins some component, each group's members
+    /// ascending ([`Engine::compute_full_partition`]), and
+    /// [`Engine::mixed_links`] is rebuilt from the partition. Membership
+    /// and member order are what an incremental pass would discover for
+    /// the same component, so each component gets the same waterfill
+    /// call whichever pass re-fills it, and forced-full runs match
     /// incremental ones exactly (see DESIGN.md "Hot path &
     /// complexity").
-    ///
-    /// Unlike the seed-link BFS, a full pass already knows its
-    /// membership (every unparked flow), so grouping needs no adjacency
-    /// lists, no per-entry `flow_pos` validation, and no sorting: three
-    /// linear sweeps over the flow table with an epoch-stamped
-    /// union-find keyed by each flow's own path. Flagship Gurita runs
-    /// make this the hot path — WRR starvation-mitigation weights shift
-    /// with queue loads, so most recomputations are reweighted passes,
-    /// which filter this partition
-    /// ([`Engine::collect_reweighted_components`]).
-    ///
-    /// The partition depends only on the topology (which unparked flows
-    /// exist and which links their paths cross), never on disciplines,
-    /// weights, priorities, or capacities — so it is cached under
-    /// [`Engine::topo_gen`] and reweighted or discipline-only full
-    /// passes reuse it outright. Debug builds re-derive and compare on
-    /// every hit, so the equivalence suites would catch a missed
-    /// `topo_gen` bump.
     fn collect_full_components(&mut self) {
-        if self.full_gen == self.topo_gen {
-            self.component.clear();
-            self.component.extend_from_slice(&self.full_comp);
-            self.comp_bounds.clear();
-            self.comp_bounds.extend_from_slice(&self.full_bounds);
-            #[cfg(debug_assertions)]
-            {
-                let cached_comp = std::mem::take(&mut self.component);
-                let cached_bounds = std::mem::take(&mut self.comp_bounds);
-                self.compute_full_partition();
-                debug_assert_eq!(
-                    cached_comp, self.component,
-                    "stale full-partition cache: a topology mutation missed topo_gen"
-                );
-                debug_assert_eq!(
-                    cached_bounds, self.comp_bounds,
-                    "stale full-partition cache: a topology mutation missed topo_gen"
-                );
-            }
-            return;
-        }
         self.compute_full_partition();
-        self.full_comp.clone_from(&self.component);
-        self.full_bounds.clone_from(&self.comp_bounds);
-        self.full_gen = self.topo_gen;
+        self.mixed_links.clear();
+        self.list_mixed_components();
     }
 
     /// Derives the canonical full partition into `component` /
-    /// `comp_bounds` (see [`Engine::collect_full_components`]).
+    /// `comp_bounds`: components ordered by their lowest member
+    /// position, each group's members ascending.
+    ///
+    /// A full pass already knows its membership (every unparked flow),
+    /// so unlike the seed-link BFS, grouping needs no adjacency lists,
+    /// no per-entry `flow_pos` validation, and no sorting: three linear
+    /// sweeps over the flow table with an epoch-stamped union-find keyed
+    /// by each flow's own path.
     fn compute_full_partition(&mut self) {
         let n = self.flows.len();
         debug_assert!(n < u32::MAX as usize, "flow positions fit u32");
@@ -2654,51 +2631,39 @@ impl<'a, F: Fabric> Engine<'a, F> {
         }
     }
 
-    /// Reweighted-pass collection (see [`Engine::recompute_rates`]): the
-    /// canonical full partition, filtered in place to the components
-    /// whose rates a WRR weight change or a pending event can move —
-    /// those whose flows sit in ≥2 queues, and those with a flow
-    /// crossing a dirty seed link. A single-queue component carries one
-    /// queue on every link, so per-link normalization gives it rates
-    /// independent of the weights; if no event touched it since its last
-    /// waterfill, its current rates are exactly what a full pass would
-    /// recompute. Kept components stay in canonical order, so the
-    /// waterfill calls are the ones a full pass would make for them.
-    fn collect_reweighted_components(&mut self) {
-        self.collect_full_components();
-        // Fresh epoch after the partition (a cache miss stamps
-        // `link_mark` too): stamp the seed links.
+    /// Debug-build reference for a reweighted pass: the canonical
+    /// partition filtered to the components whose flows sit in ≥2
+    /// queues or cross a pending dirty link, as member lists in sorted
+    /// order. The mixed-link BFS must collect exactly these — the
+    /// components whose rates a weight change or a pending event can
+    /// move. Clobbers `component` / `comp_bounds`.
+    #[cfg(debug_assertions)]
+    fn reweighted_reference(&mut self) -> Vec<Vec<usize>> {
+        self.compute_full_partition();
         self.mark_epoch += 1;
         let epoch = self.mark_epoch;
         for &li in &self.dirty.links {
             self.link_mark[li] = epoch;
         }
-        self.dirty.links.clear();
-        let (mut kept, mut nb, mut start) = (0usize, 1usize, 0usize);
-        for c in 1..self.comp_bounds.len() {
-            let end = self.comp_bounds[c];
-            let members = &self.component[start..end];
-            let queue = self.flows[members[0]].queue;
-            let keep = members.iter().any(|&pos| {
-                self.flows[pos].queue != queue
-                    || self
-                        .arena
-                        .get(self.hot.path[pos])
-                        .iter()
-                        .any(|l| self.link_mark[l.index()] == epoch)
-            });
-            if keep {
-                // `kept <= start` and `nb <= c`: compaction never
-                // overwrites a span or bound not yet read.
-                self.component.copy_within(start..end, kept);
-                kept += end - start;
-                self.comp_bounds[nb] = kept;
-                nb += 1;
-            }
-            start = end;
-        }
-        self.component.truncate(kept);
-        self.comp_bounds.truncate(nb);
+        let mut kept: Vec<Vec<usize>> = self
+            .comp_bounds
+            .windows(2)
+            .map(|w| &self.component[w[0]..w[1]])
+            .filter(|members| {
+                let queue = self.flows[members[0]].queue;
+                members.iter().any(|&pos| {
+                    self.flows[pos].queue != queue
+                        || self
+                            .arena
+                            .get(self.hot.path[pos])
+                            .iter()
+                            .any(|l| self.link_mark[l.index()] == epoch)
+                })
+            })
+            .map(<[usize]>::to_vec)
+            .collect();
+        kept.sort_unstable();
+        kept
     }
 
     /// Bumps the shared mark epoch and readies the BFS scratch
@@ -2727,29 +2692,33 @@ impl<'a, F: Fabric> Engine<'a, F> {
     }
 
     /// Recomputes rates for the flows the pending changes can affect.
-    /// Three pass kinds, all producing the same canonical per-component
+    /// Three pass kinds, all producing the same per-component
     /// waterfills (see [`Engine::collect_full_components`]):
     ///
     /// * **incremental** — the discipline is unchanged: the components
     ///   reached from the dirty seed links ([`Engine::collect_component`]);
     /// * **reweighted** — only the WRR weights changed (same queue
     ///   count): per-link normalization makes single-queue components
-    ///   weight-invariant, so the cached full partition is filtered to
-    ///   the components that carry ≥2 queues or touch a dirty link
-    ///   ([`Engine::collect_reweighted_components`]). Counted as
-    ///   incremental in telemetry;
+    ///   weight-invariant, so only the components that carry ≥2 queues
+    ///   or touch a dirty link re-fill — the BFS seeded by the dirty
+    ///   links plus [`Engine::mixed_links`], at a cost proportional to
+    ///   the components it re-fills. Counted as incremental in
+    ///   telemetry, and as reweighted besides;
     /// * **full** — the first pass, an SPQ↔WRR switch, a queue-count
     ///   change, or [`SimConfig::force_full_recompute`]: every unparked
     ///   flow.
     ///
     /// Every flow outside the chosen components keeps its rate and its
     /// completion prediction, which are bit-identical to what a full
-    /// pass would recompute for it.
+    /// pass would recompute for it. Rates do not depend on the order of
+    /// components within a pass: components share neither flows nor
+    /// links.
     fn recompute_rates(&mut self) {
         self.dirty.any = false;
         self.completion_generation += 1;
         if self.flows.is_empty() {
             self.dirty.links.clear();
+            self.mixed_links.clear();
             return;
         }
         // Planes derive weights from state accumulated at decision time
@@ -2785,6 +2754,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
                 self.probe.full_passes += 1;
             } else {
                 self.probe.incremental_passes += 1;
+                self.probe.reweighted_passes += u64::from(reweighted);
                 self.probe.seed_links += self.dirty.links.len() as u64;
             }
         }
@@ -2814,10 +2784,27 @@ impl<'a, F: Fabric> Engine<'a, F> {
         if full {
             self.dirty.links.clear();
             self.collect_full_components();
-        } else if reweighted {
-            self.collect_reweighted_components();
         } else {
+            #[cfg(debug_assertions)]
+            let expected = reweighted.then(|| self.reweighted_reference());
+            if reweighted {
+                self.dirty.links.extend_from_slice(&self.mixed_links);
+            }
             self.collect_component();
+            #[cfg(debug_assertions)]
+            if let Some(expected) = expected {
+                let mut collected: Vec<Vec<usize>> = self
+                    .comp_bounds
+                    .windows(2)
+                    .map(|w| self.component[w[0]..w[1]].to_vec())
+                    .collect();
+                collected.sort_unstable();
+                assert_eq!(
+                    collected, expected,
+                    "reweighted pass missed or over-collected a component: \
+                     a queue or membership change left `mixed_links` stale"
+                );
+            }
         }
         if self.component.is_empty() {
             return;
@@ -3078,6 +3065,7 @@ impl<'a, F: Fabric> Engine<'a, F> {
             degraded_links: self.overlay.num_degraded() + self.overlay.num_dead(),
             alloc_full_passes: self.probe.full_passes,
             alloc_incremental_passes: self.probe.incremental_passes,
+            alloc_reweighted_passes: self.probe.reweighted_passes,
             alloc_component_flows: self.probe.component_flows,
             alloc_seed_links: self.probe.seed_links,
             alloc_touched_links: self.last_alloc_touched,

@@ -343,10 +343,17 @@ pub struct EpochSample {
     pub alloc_full_passes: u64,
     /// Cumulative incremental recomputations: dirty-component passes,
     /// and reweighted passes (only the WRR weights changed, so only the
-    /// multi-queue and dirty components re-fill). Under flagship
-    /// Gurita, whose weights move at almost every decision, most passes
-    /// are reweighted ones.
+    /// multi-queue and dirty components re-fill; see
+    /// `alloc_reweighted_passes`).
     pub alloc_incremental_passes: u64,
+    /// Cumulative reweighted recomputations, a subset of
+    /// `alloc_incremental_passes`: only the WRR weights changed, so the
+    /// pass re-filled the components carrying ≥2 queues plus those
+    /// touching a dirty link. Under flagship Gurita, whose weights move
+    /// at almost every decision, most passes are reweighted ones; 0
+    /// under strict priority.
+    #[serde(default)]
+    pub alloc_reweighted_passes: u64,
     /// Cumulative flows re-rated across all recomputations — the
     /// incremental BFS component sizes, summed.
     pub alloc_component_flows: u64,
@@ -405,6 +412,7 @@ pub(crate) struct Probe<'a> {
     pub(crate) control_issued: HashMap<u64, f64>,
     pub(crate) full_passes: u64,
     pub(crate) incremental_passes: u64,
+    pub(crate) reweighted_passes: u64,
     pub(crate) component_flows: u64,
     pub(crate) seed_links: u64,
     pub(crate) component_calls: u64,
@@ -420,6 +428,7 @@ impl<'a> Probe<'a> {
             control_issued: HashMap::new(),
             full_passes: 0,
             incremental_passes: 0,
+            reweighted_passes: 0,
             component_flows: 0,
             seed_links: 0,
             component_calls: 0,
@@ -965,6 +974,7 @@ mod tests {
             degraded_links: 0,
             alloc_full_passes: 1,
             alloc_incremental_passes: 5,
+            alloc_reweighted_passes: 3,
             alloc_component_flows: 9,
             alloc_seed_links: 12,
             alloc_touched_links: 4,
@@ -1045,6 +1055,7 @@ mod tests {
             degraded_links: 0,
             alloc_full_passes: 1,
             alloc_incremental_passes: 0,
+            alloc_reweighted_passes: 0,
             alloc_component_flows: 1,
             alloc_seed_links: 2,
             alloc_touched_links: 2,

@@ -6,7 +6,7 @@
 use gurita_daemon::client::Client;
 use gurita_daemon::metrics_http::{serve_metrics_http, MAX_HEAD_BYTES, MAX_HEAD_LINE_BYTES};
 use gurita_daemon::protocol::{read_line, write_line, Request, Response, MAX_LINE_BYTES};
-use gurita_daemon::server::{serve, DaemonConfig, ServeReport};
+use gurita_daemon::server::{serve, DaemonConfig, ServeReport, MAX_CONNECTIONS};
 use gurita_experiments::roster::SchedulerKind;
 use gurita_model::{CoflowSpec, FlowSpec, HostId, JobDag, JobSpec};
 use gurita_workload::arrivals::ArrivalProcess;
@@ -248,6 +248,54 @@ fn malformed_and_over_long_lines_get_error_replies() {
     assert!(resp.ok, "{:?}", resp.error);
     assert!(resp.stats.is_some());
 
+    client.shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}
+
+/// Connections beyond the cap get one `too many connections` line and
+/// are closed; closing a held connection frees its slot.
+#[test]
+fn connections_beyond_the_cap_are_refused() {
+    let (socket, daemon, mut client) = start("conncap", SchedulerKind::Gurita, TEST_PACE);
+    // `client` holds one slot; a served round-trip on each held
+    // connection proves its handler took a slot before the next connect.
+    let mut held: Vec<Client> = (1..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut c = Client::connect(&socket).expect("connect under the cap");
+            c.ping().expect("held connection is served");
+            c
+        })
+        .collect();
+
+    let stream = UnixStream::connect(&socket).unwrap();
+    let resp: Response = read_line(&mut BufReader::new(stream))
+        .unwrap()
+        .expect("refusal line");
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_deref(), Some("too many connections"));
+
+    // The slot is released when the handler notices the close, which
+    // is asynchronous: retry until a fresh connection is served. A
+    // refused attempt fails either with the refusal line or, when the
+    // daemon closed first, on the write.
+    drop(held.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let mut fresh = Client::connect(&socket).expect("connect");
+        match fresh.stats() {
+            Ok(stats) => break stats,
+            Err(e) => {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "slot never freed: {e}"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    };
+    assert_eq!(stats.jobs_done, 0);
+
+    drop(held);
     client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
 }

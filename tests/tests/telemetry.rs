@@ -105,6 +105,38 @@ proptest! {
     }
 }
 
+/// Pass-kind telemetry: flagship Gurita's load-derived WRR weights
+/// make reweighted passes, counted as a subset of the incremental ones;
+/// strict priority has no weights and makes none. Arming the probe to
+/// count them leaves the result bitwise unchanged.
+#[test]
+fn reweighted_passes_counted_under_wrr_only() {
+    let jobs = workload(10, 11);
+    let faults = FaultSchedule::new();
+    for (kind, wrr) in [
+        (SchedulerKind::Gurita, true),
+        (SchedulerKind::GuritaSpq, false),
+    ] {
+        let plain = run_once(kind, &jobs, &faults, 0.0, None);
+        let mut sink = MemorySink::new();
+        let traced = run_once(kind, &jobs, &faults, 0.0, Some(&mut sink));
+        assert_eq!(plain, traced, "{kind:?}: telemetry changed the result");
+        let last = sink
+            .samples()
+            .last()
+            .unwrap_or_else(|| panic!("{kind:?}: no epoch samples"));
+        assert!(last.alloc_reweighted_passes <= last.alloc_incremental_passes);
+        if wrr {
+            assert!(
+                last.alloc_reweighted_passes > 0,
+                "{kind:?}: no reweighted passes"
+            );
+        } else {
+            assert_eq!(last.alloc_reweighted_passes, 0, "{kind:?}");
+        }
+    }
+}
+
 /// Like [`run_once`] with telemetry armed, but streaming into a live
 /// [`MetricsSink`] — the daemon's aggregation path.
 fn run_with_metrics(
